@@ -115,7 +115,8 @@ def _active() -> Tape | None:
 
 
 def _check_finite(data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
+    # the method call skips np.all's dispatch, a large share of a small op
+    if not np.isfinite(data).all():
         raise NonFiniteValue("operation produced NaN or Inf")
 
 
@@ -147,15 +148,32 @@ def zero_grads(tensors) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
+    """Matrix product for (..., k) @ (k, n), a batch of matrices
+    (B, r, k) @ (B, k, s), and the 1D cases (r, k) @ (k,) and (k,) @ (k, n)."""
+    if a.ndim >= 2 and b.ndim == 2:
+        # one GEMM over every leading row; 2D @ 2D is the case with none
+        k, n = b.shape
+        if a.shape[-1] != k:
+            raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
+        a2 = a.data.reshape(-1, k)
+        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+
+        def bw():
+            def fn(g):
+                g2 = g.reshape(-1, n)
+                _accum(a, (g2 @ b.data.T).reshape(a.shape))
+                _accum(b, a2.T @ g2)
+            return fn
+
+    elif a.ndim == 3 and b.ndim == 3:
+        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
             raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
         data = a.data @ b.data
 
         def bw():
             def fn(g):
-                _accum(a, g @ b.data.T)
-                _accum(b, a.data.T @ g)
+                _accum(a, g @ b.data.transpose(0, 2, 1))
+                _accum(b, a.data.transpose(0, 2, 1) @ g)
             return fn
 
     elif a.ndim == 2 and b.ndim == 1:
@@ -181,20 +199,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return fn
 
     else:
-        raise ShapeMismatch(f"matmul supports 1D/2D operands, got {a.ndim}D @ {b.ndim}D")
+        raise ShapeMismatch(f"matmul does not support {a.shape} @ {b.shape}")
     return _emit(data, bw)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for 2D operands (attention score shortcut)."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    """a @ b.T for 2D operands, or per matrix for batches (B, r, k) and
+    (B, s, k) (attention score shortcut)."""
+    if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-1]:
         raise ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
-    data = a.data @ b.data.T
+    data = a.data @ np.swapaxes(b.data, -1, -2)
 
     def bw():
         def fn(g):
             _accum(a, g @ b.data)
-            _accum(b, g.T @ a.data)
+            _accum(b, np.swapaxes(g, -1, -2) @ a.data)
         return fn
 
     return _emit(data, bw)
@@ -207,12 +227,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _accum(a, g)
                 _accum(b, g)
             return fn
-    elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        # row-broadcast bias
+    elif a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]:
+        # bias broadcast over every leading row
         def bw():
             def fn(g):
                 _accum(a, g)
-                _accum(b, g.sum(axis=0))
+                _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
             return fn
     else:
         raise ShapeMismatch(f"add {a.shape} + {b.shape}")
@@ -362,28 +382,29 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
-    """Row softmax of a 2D tensor. ``key_mask`` (bool per column) restricts the
-    distribution to valid columns; masked columns get probability exactly 0,
+    """Softmax over the last axis of a 2D (r, s) or 3D (B, r, s) tensor.
+    ``key_mask`` (bool, (s,) or (B, s)) restricts each distribution to the
+    valid columns of its matrix; masked columns get probability exactly 0,
     matching physical removal of those columns."""
-    if a.ndim != 2:
-        raise ShapeMismatch(f"softmax expects 2D rows, got {a.shape}")
+    if a.ndim not in (2, 3):
+        raise ShapeMismatch(f"softmax expects 2D or 3D rows, got {a.shape}")
     if key_mask is None:
-        x = a.data - a.data.max(axis=1, keepdims=True)
+        x = a.data - a.data.max(axis=-1, keepdims=True)
         e = np.exp(x)
     else:
         key_mask = np.asarray(key_mask, dtype=bool)
-        if key_mask.shape != (a.shape[1],):
-            raise ShapeMismatch(f"key_mask shape {key_mask.shape} vs {a.shape[1]} columns")
-        if not key_mask.any():
+        if key_mask.shape != a.shape[:-2] + a.shape[-1:]:
+            raise ShapeMismatch(f"key_mask shape {key_mask.shape} vs scores {a.shape}")
+        if not key_mask.any(axis=-1).all():
             raise ShapeMismatch("softmax with all columns masked")
-        valid = a.data[:, key_mask]
-        x = a.data - valid.max(axis=1, keepdims=True)
-        e = np.exp(x) * key_mask
-    p = e / e.sum(axis=1, keepdims=True)
+        keep = key_mask[..., None, :]
+        x = a.data - np.where(keep, a.data, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(keep, x, -np.inf))
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw():
         def fn(g):
-            _accum(a, p * (g - (g * p).sum(axis=1, keepdims=True)))
+            _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
         return fn
 
     return _emit(p, bw)
@@ -466,8 +487,9 @@ def concat(parts: list[Tensor], dim: int = 0) -> Tensor:
     if not parts:
         raise ShapeMismatch("concat of nothing")
     nd = parts[0].ndim
-    if any(p.ndim != nd for p in parts) or dim >= nd:
+    if any(p.ndim != nd for p in parts) or not -nd <= dim < nd:
         raise ShapeMismatch("concat rank/dim mismatch")
+    dim %= nd
     data = np.concatenate([p.data for p in parts], axis=dim)
 
     def bw():
@@ -559,7 +581,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def embed(table: Tensor, ids) -> Tensor:
-    """Gather rows of an embedding table; backward scatter-adds into it."""
+    """Gather table rows for an id array of any shape: the result has shape
+    ``ids.shape + (d,)``. Backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.intp)
     if table.ndim != 2:
         raise ShapeMismatch(f"embed table must be 2D, got {table.shape}")

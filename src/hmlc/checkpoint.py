@@ -12,6 +12,7 @@ differs from the configuration it is being loaded into.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -71,7 +72,12 @@ def load_checkpoint(path, expect_config_hash: str | None = None):
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (hdr_len,) = struct.unpack("<Q", f.read(8))
+        raw_len = f.read(8)
+        if len(raw_len) != 8:
+            raise CheckpointError(f"{path}: truncated inside the header length")
+        (hdr_len,) = struct.unpack("<Q", raw_len)
+        if hdr_len > os.fstat(f.fileno()).st_size - f.tell():
+            raise CheckpointError(f"{path}: header length {hdr_len} runs past the end of the file")
         header = json.loads(f.read(hdr_len).decode("utf-8"))
         if header.get("format_version") != _FORMAT_VERSION:
             raise CheckpointError(

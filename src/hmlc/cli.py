@@ -36,7 +36,7 @@ from .config import (
 from .contrastive import pretrain
 from .corpus import Corpus, CorpusError, Record, load_corpus, write_corpus
 from .encoder import AllFieldsEmpty, EncoderConfig
-from .hierarchy import HierarchyError, LabelHierarchy, load_hierarchy, parse_hierarchy
+from .hierarchy import HierarchyError, LabelHierarchy, load_hierarchy, parse_hierarchy, repair_bits
 from .metrics import MetricsError, ks_statistic
 from .model import (
     HmcnModel,
@@ -299,9 +299,14 @@ def cmd_infer(args) -> int:
                     continue
                 try:
                     obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise TypeError("a record must be a JSON object")
+                    fields = obj.get("fields", {})
+                    if not isinstance(fields, dict):
+                        raise TypeError("fields must be a JSON object")
                     rec = Record(
                         id=str(obj["id"]),
-                        fields={k: str(v) for k, v in obj.get("fields", {}).items()},
+                        fields={k: str(v) for k, v in fields.items()},
                         labels=np.zeros(h.m, dtype=np.uint8),
                     )
                     pred = forward(rec, model)
@@ -312,10 +317,7 @@ def cmd_infer(args) -> int:
                 z = pred.z_final.data
                 bits = (z >= loss_cfg.threshold).astype(np.uint8)
                 if args.repair:
-                    for v in h.labels:
-                        p = h.parent[v]
-                        if p is not None and bits[h.index[v]] and not bits[h.index[p]]:
-                            bits[h.index[v]] = 0
+                    bits = repair_bits(h, bits)
                 lines_out.append(json.dumps({
                     "id": rec.id,
                     "labels": [v for v in h.labels if bits[h.index[v]]],

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import EncoderParams, encode_record
+from .encoder import EncoderParams, encode_record, encode_records
 from .metrics import EmbeddingDiagnostics, NonUnitInput, embedding_diagnostics
 from .model import HmcnModel, NonFiniteLoss
 from .nn import MlpParams, init_mlp, mlp_forward
@@ -70,8 +70,9 @@ def init_projection(rng: np.random.Generator, in_dim: int, hidden: int,
 
 
 def project(h_0: Tensor, head: ProjectionHead) -> Tensor:
-    """Flattened h_0 through the head, always unit-normalized."""
-    return ad.l2_normalize(mlp_forward(ad.flatten(h_0), head.mlp))
+    """Flattened h_0 through the head, always unit-normalized: one record's
+    (F, d) gives a vector, a batch's (B, F, d) one unit row per record."""
+    return ad.l2_normalize(mlp_forward(ad.reshape(h_0, h_0.shape[:-2] + (-1,)), head.mlp))
 
 
 def pair_probability(s, s_prime, polarity: str, alpha: float = 0.1) -> float:
@@ -93,12 +94,12 @@ def pair_probability(s, s_prime, polarity: str, alpha: float = 0.1) -> float:
 
 def encode_batch(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,
                  head: ProjectionHead) -> dict[int, Tensor]:
-    """Each record the batch touches is encoded and projected exactly once;
-    reuse keeps the tape small and still accumulates every gradient path."""
-    return {
-        i: project(encode_record(corpus.records[i], encoder), head)
-        for i in batch.record_indices()
-    }
+    """Each record the batch touches is encoded and projected exactly once,
+    all of them in one graph; reuse keeps the tape small and still
+    accumulates every gradient path. Returns record index -> unit row."""
+    indices = batch.record_indices()
+    rows = project(encode_records([corpus.records[i] for i in indices], encoder), head)
+    return {i: ad.row(rows, j) for j, i in enumerate(indices)}
 
 
 def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,

@@ -6,17 +6,21 @@ the sequence; the special-token row is the field vector. Field vectors are
 stacked and fused by a second self-attention into the root embedding
 ``h_0`` of shape (F, d). Empty fields contribute a zero vector and are
 masked out of the fusion attention keys.
+
+A batch of records is encoded as one graph: every field of every record is
+one padded row of token ids, and key masks give the padding exactly zero
+attention weight.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor, const, default_dtype, embed, row, stack_rows, tensor
+from .autodiff import ShapeMismatch, Tensor, const, default_dtype, embed, mul, reshape, tensor
 from .corpus import DEFAULT_FIELDS, Record
 from .nn import AttentionParams, init_attention, multihead_attention
 
@@ -67,12 +71,6 @@ def tokenize(text: str, cfg: EncoderConfig) -> list[int]:
 
 
 @dataclass
-class FieldEmbedding:
-    h_field: Tensor
-    present: bool
-
-
-@dataclass
 class EncoderParams:
     cfg: EncoderConfig
     table: Tensor
@@ -96,36 +94,42 @@ def init_encoder(rng: np.random.Generator, cfg: EncoderConfig) -> EncoderParams:
     )
 
 
-def encode_field(tokens: list[int], field: str, params: EncoderParams) -> FieldEmbedding:
-    """Self-attention over [special ∥ tokens]; the special-token row is the
-    field vector. An empty token sequence yields the zero vector."""
+def encode_records(records: list[Record], params: EncoderParams) -> Tensor:
+    """Records -> h_0 of shape (B, F, d), one graph for the whole batch.
+
+    Every field of every record is one row of a (B·F, 1+T) id matrix: the
+    field's special id, then its tokens, padded to the batch's longest field
+    T. One self-attention with the special-token rows as queries gives the
+    field vectors; padding is masked out of the keys. Empty fields become the
+    zero vector and are masked out of the fusion attention keys, so each
+    record's h_0 is the same function of its own fields whatever else is in
+    the batch."""
     cfg = params.cfg
-    if not tokens:
-        zero = const(np.zeros(cfg.d, dtype=params.table.data.dtype))
-        return FieldEmbedding(h_field=zero, present=False)
-    ids = [special_id(cfg, field)] + list(tokens)
-    seq = embed(params.table, ids)
-    attended = multihead_attention(seq, seq, seq, params.field_attn)
-    return FieldEmbedding(h_field=row(attended, 0), present=True)
-
-
-def fuse_fields(embs: list[FieldEmbedding], params: EncoderParams) -> Tensor:
-    """Stack the F field vectors and self-attend; absent fields are masked out
-    of the keys so they receive exactly zero weight."""
-    if len(embs) != len(params.cfg.fields):
-        raise ShapeMismatch(f"expected {len(params.cfg.fields)} field embeddings, got {len(embs)}")
-    present = np.array([e.present for e in embs], dtype=bool)
-    if not present.any():
+    if not records:
+        raise EncoderError("no records to encode")
+    batch, n_fields = len(records), len(cfg.fields)
+    tokens = [tokenize(r.fields.get(f, ""), cfg) for r in records for f in cfg.fields]
+    present = np.array([len(t) > 0 for t in tokens]).reshape(batch, n_fields)
+    if not present.any(axis=1).all():
         raise AllFieldsEmpty("record has no non-empty field")
-    hstar = stack_rows([e.h_field for e in embs])
+    width = 1 + max(map(len, tokens))
+    ids = np.zeros((len(tokens), width), dtype=np.intp)
+    keys = np.zeros((len(tokens), width), dtype=bool)
+    ids[:, 0] = [special_id(cfg, f) for f in cfg.fields] * batch
+    keys[:, 0] = True
+    for i, t in enumerate(tokens):
+        ids[i, 1:1 + len(t)] = t
+        keys[i, 1:1 + len(t)] = True
+    seq = embed(params.table, ids)
+    field_vecs = multihead_attention(embed(params.table, ids[:, :1]), seq, seq,
+                                     params.field_attn, key_mask=keys)
+    keep = np.broadcast_to(present[:, :, None], (batch, n_fields, cfg.d))
+    hstar = mul(reshape(field_vecs, (batch, n_fields, cfg.d)),
+                const(keep, dtype=params.table.data.dtype))
     return multihead_attention(hstar, hstar, hstar, params.fuse_attn, key_mask=present)
 
 
 def encode_record(record: Record, params: EncoderParams) -> Tensor:
-    """Record -> h_0 of shape (F, d)."""
-    cfg = params.cfg
-    embs = [
-        encode_field(tokenize(record.fields.get(f, ""), cfg), f, params)
-        for f in cfg.fields
-    ]
-    return fuse_fields(embs, params)
+    """Record -> h_0 of shape (F, d): ``encode_records`` on a batch of one."""
+    h_0 = encode_records([record], params)
+    return reshape(h_0, h_0.shape[1:])

@@ -201,6 +201,22 @@ def validate_assignment(h: LabelHierarchy, bits: np.ndarray) -> list[tuple[str, 
     return violations
 
 
+def repair_bits(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
+    """Top-down repair: a 0/1 uint8 copy of ``bits`` (length m, or rows of m)
+    in which every label whose parent is clear is cleared too. Levels are
+    repaired in order through a parent-index array, so clearing a label
+    clears its whole subtree. The result is always path-consistent."""
+    bits = np.asarray(bits)
+    if bits.shape[-1:] != (h.m,):
+        raise LengthMismatch(f"expected {h.m} bits per row, got shape {bits.shape}")
+    out = (bits != 0).astype(np.uint8)
+    parent = np.array([h.index.get(h.parent[v], -1) for v in h.labels])
+    for lvl in range(2, h.depth + 1):
+        cols = np.array([h.index[v] for v in h.level_index[lvl]])
+        out[..., cols] &= out[..., parent[cols]]
+    return out
+
+
 def closure(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
     """Return a copy with every ancestor of an active label activated."""
     bits = np.asarray(bits)

@@ -6,6 +6,9 @@ per-level head emits likelihoods for that level's labels. A global head
 reads h_0 directly, and an integration MLP combines the two likelihood
 vectors into the final prediction. Training minimizes focal loss plus a
 hinge penalty on child-above-parent likelihood violations.
+
+The heads take one record's h_0 (F, d) or a batch's (B, F, d) alike:
+``forward`` scores one record, ``forward_batch`` a mini-batch in one graph.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus, Record
-from .encoder import EncoderConfig, EncoderParams, encode_record, init_encoder
-from .hierarchy import LabelHierarchy, LengthMismatch, validate_assignment
+from .encoder import EncoderConfig, EncoderParams, encode_record, encode_records, init_encoder
+from .hierarchy import LabelHierarchy, LengthMismatch, repair_bits, validate_assignment
 from .metrics import micro_macro_f1
 from .nn import AttentionParams, MlpParams, init_attention, init_mlp, mlp_forward, multihead_attention
 from .optim import AdamState, adam_step
@@ -80,20 +83,23 @@ class HmcnModel:
 
 @dataclass
 class Prediction:
-    z_local: Tensor    # length m, level-major ordering
-    z_global: Tensor   # length m
-    z_final: Tensor    # length m
+    """Likelihoods in level-major order: length m for one record, (B, m)
+    for a batch."""
+
+    z_local: Tensor
+    z_global: Tensor
+    z_final: Tensor
 
 
 def edge_selectors(h: LabelHierarchy):
-    """(child_sel, parent_sel): E×m one-hot rows so that sel @ z gathers the
-    child/parent likelihood per edge."""
+    """(child_sel, parent_sel): m×E one-hot columns so that z @ sel gathers
+    the child/parent likelihood per edge."""
     edges = h.edges()
-    child = np.zeros((len(edges), h.m))
-    parent = np.zeros((len(edges), h.m))
+    child = np.zeros((h.m, len(edges)))
+    parent = np.zeros((h.m, len(edges)))
     for i, (u, v) in enumerate(edges):
-        parent[i, h.index[u]] = 1.0
-        child[i, h.index[v]] = 1.0
+        parent[h.index[u], i] = 1.0
+        child[h.index[v], i] = 1.0
     return ad.const(child), ad.const(parent)
 
 
@@ -123,8 +129,8 @@ def init_model(rng: np.random.Generator, h: LabelHierarchy,
 
 
 def local_embeddings(h_0: Tensor, model: HmcnModel) -> list[Tensor]:
-    """[h_1 .. h_L], each F×d. h_0 is the query at every level; key/value is
-    the previous level's output."""
+    """[h_1 .. h_L], each shaped like h_0: F×d, or B×F×d for a batch. h_0 is
+    the query at every level; key/value is the previous level's output."""
     levels = [mlp_forward(h_0, model.prior_mlp)]
     for attn in model.cross_attn:
         levels.append(multihead_attention(h_0, levels[-1], levels[-1], attn))
@@ -135,8 +141,13 @@ def local_predict(h_level: Tensor, model: HmcnModel, lvl: int) -> Tensor:
     return ad.sigmoid(_local_logits(h_level, model, lvl))
 
 
+def _flat_fields(h: Tensor) -> Tensor:
+    """(..., F, d) -> (..., F·d): one input row per record for the heads."""
+    return ad.reshape(h, h.shape[:-2] + (-1,))
+
+
 def _local_logits(h_level: Tensor, model: HmcnModel, lvl: int) -> Tensor:
-    return mlp_forward(ad.flatten(h_level), model.level_heads[lvl - 1])
+    return mlp_forward(_flat_fields(h_level), model.level_heads[lvl - 1])
 
 
 def global_predict(h_0: Tensor, model: HmcnModel) -> Tensor:
@@ -144,7 +155,7 @@ def global_predict(h_0: Tensor, model: HmcnModel) -> Tensor:
 
 
 def _global_logits(h_0: Tensor, model: HmcnModel) -> Tensor:
-    return mlp_forward(ad.flatten(h_0), model.global_head)
+    return mlp_forward(_flat_fields(h_0), model.global_head)
 
 
 def _logit(z: Tensor) -> Tensor:
@@ -162,15 +173,14 @@ def integrate(z_local: Tensor, z_global: Tensor, model: HmcnModel) -> Tensor:
 def _integrate_logits(local_logits: Tensor, global_logits: Tensor, model: HmcnModel) -> Tensor:
     # the integration MLP consumes pre-sigmoid scores; integrate() above is
     # the same function expressed on likelihoods (logit inverts the sigmoid)
-    x = ad.concat([local_logits, global_logits], dim=0)
+    x = ad.concat([local_logits, global_logits], dim=-1)
     return ad.sigmoid(mlp_forward(x, model.integration))
 
 
-def forward(record: Record, model: HmcnModel) -> Prediction:
-    h_0 = encode_record(record, model.encoder)
+def _predict(h_0: Tensor, model: HmcnModel) -> Prediction:
     levels = local_embeddings(h_0, model)
     local_logits = ad.concat(
-        [_local_logits(h, model, lvl) for lvl, h in enumerate(levels, start=1)], dim=0)
+        [_local_logits(h, model, lvl) for lvl, h in enumerate(levels, start=1)], dim=-1)
     global_logits = _global_logits(h_0, model)
     return Prediction(
         z_local=ad.sigmoid(local_logits),
@@ -179,14 +189,24 @@ def forward(record: Record, model: HmcnModel) -> Prediction:
     )
 
 
+def forward(record: Record, model: HmcnModel) -> Prediction:
+    """One record's likelihoods, each of length m."""
+    return _predict(encode_record(record, model.encoder), model)
+
+
+def forward_batch(records: list[Record], model: HmcnModel) -> Prediction:
+    """A mini-batch's likelihoods, each (B, m), from one graph."""
+    return _predict(encode_records(records, model.encoder), model)
+
+
 def path_regularization(z: Tensor, h: LabelHierarchy,
                         selectors: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """R = Σ_edges max(0, ẑ_child − ẑ_parent); zero iff no child outranks its
-    parent."""
-    if z.shape != (h.m,):
-        raise LengthMismatch(f"likelihood vector length {z.shape} vs m={h.m}")
+    """R = Σ_edges max(0, ẑ_child − ẑ_parent), summed over the rows of a
+    (B, m) batch; zero iff no child outranks its parent."""
+    if z.ndim not in (1, 2) or z.shape[-1] != h.m:
+        raise LengthMismatch(f"likelihood shape {z.shape} vs m={h.m}")
     child_sel, parent_sel = selectors if selectors is not None else edge_selectors(h)
-    gap = ad.sub(ad.matmul(child_sel, z), ad.matmul(parent_sel, z))
+    gap = ad.sub(ad.matmul(z, child_sel), ad.matmul(z, parent_sel))
     return ad.sum_all(ad.relu(gap))
 
 
@@ -203,19 +223,18 @@ def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
     return ad.scale(ad.sum_all(ad.add(pos, neg)), -cfg.focal_alpha)
 
 
-def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig) -> Tensor:
-    """Σ over the batch of focal loss + λ·path regularization on ẑ."""
-    selectors = (model.child_sel, model.parent_sel)
-    total = None
-    for record in batch:
-        pred = forward(record, model)
-        term = focal_loss(pred.z_final, record.labels, cfg)
-        if cfg.lambda_reg > 0.0:
-            reg = path_regularization(pred.z_final, model.hierarchy, selectors)
-            term = ad.add(term, ad.scale(reg, cfg.lambda_reg))
-        total = term if total is None else ad.add(total, term)
-    if total is None:
+def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
+               pred: Prediction | None = None) -> Tensor:
+    """Σ over the batch of focal loss + λ·path regularization on ẑ. ``pred``
+    is the batch's ``forward_batch`` output when the caller already has it."""
+    if not batch:
         raise ValueError("empty batch")
+    z = (pred if pred is not None else forward_batch(batch, model)).z_final
+    labels = np.stack([r.labels for r in batch])
+    total = focal_loss(ad.flatten(z), labels.ravel(), cfg)
+    if cfg.lambda_reg > 0.0:
+        reg = path_regularization(z, model.hierarchy, (model.child_sel, model.parent_sel))
+        total = ad.add(total, ad.scale(reg, cfg.lambda_reg))
     return total
 
 
@@ -230,13 +249,7 @@ def predict_labels(record: Record, model: HmcnModel, cfg: LossConfig,
     output is always path-consistent."""
     z = predict_proba(record, model)
     bits = (z >= cfg.threshold).astype(np.uint8)
-    if repair:
-        h = model.hierarchy
-        for v in h.labels:  # level-major: parents precede children
-            p = h.parent[v]
-            if p is not None and bits[h.index[v]] and not bits[h.index[p]]:
-                bits[h.index[v]] = 0
-    return bits
+    return repair_bits(model.hierarchy, bits) if repair else bits
 
 
 @dataclass(frozen=True)
@@ -296,21 +309,13 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
             ad.zero_grads(params)
             try:
                 with ad.Tape() as tape:
-                    loss = None
-                    for i, record in zip(batch_idx, batch):
-                        pred = forward(record, model)
-                        preds[i] = pred.z_final.data >= threshold
-                        term = focal_loss(pred.z_final, record.labels, loss_cfg)
-                        if loss_cfg.lambda_reg > 0.0:
-                            reg = path_regularization(
-                                pred.z_final, model.hierarchy,
-                                (model.child_sel, model.parent_sel))
-                            term = ad.add(term, ad.scale(reg, loss_cfg.lambda_reg))
-                        loss = term if loss is None else ad.add(loss, term)
+                    pred = forward_batch(batch, model)
+                    loss = total_loss(batch, model, loss_cfg, pred=pred)
                     tape.backward(loss)
             except ad.NonFiniteValue as e:
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}, batch starting {start}: {e}") from e
+            preds[batch_idx] = pred.z_final.data >= threshold
             epoch_loss += loss.item()
             adam_step(params, state, lr)
         report = micro_macro_f1(corpus.label_matrix, preds)

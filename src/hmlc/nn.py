@@ -65,7 +65,8 @@ def init_mlp(rng: np.random.Generator, sizes: list[int], activation: str = "relu
 
 
 def mlp_forward(x: Tensor, p: MlpParams) -> Tensor:
-    """Apply the MLP to a single vector (1D) or to each row of a matrix (2D)."""
+    """Apply the MLP to a single vector (1D) or along the last axis of a
+    matrix or a batch of matrices (2D, 3D)."""
     act = _ACTIVATIONS[p.activation]
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
@@ -115,16 +116,20 @@ def multihead_attention(
 ) -> Tensor:
     """Scaled dot-product attention with per-head projections.
 
-    ``q`` is (r, d); ``k`` and ``v`` are (s, d) with matching s. ``key_mask``
-    marks which of the s key rows may be attended to; masked keys receive
-    exactly zero weight.
+    ``q`` is (r, d); ``k`` and ``v`` are (s, d) with matching s. A leading
+    batch axis attends each of B matrices independently: ``q`` (B, r, d),
+    ``k`` and ``v`` (B, s, d); 2D operands are the B=1 case. ``key_mask``,
+    (s,) or (B, s), marks which key rows may be attended to; masked keys
+    receive exactly zero weight.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeMismatch("attention operands must be 2D")
-    d = q.shape[1]
-    if k.shape[1] != d or v.shape[1] != d:
+    if q.ndim not in (2, 3) or k.ndim != q.ndim or v.ndim != q.ndim:
+        raise ShapeMismatch("attention operands must all be 2D or all be 3D")
+    if q.shape[:-2] != k.shape[:-2] or k.shape[:-2] != v.shape[:-2]:
+        raise ShapeMismatch(f"attention batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[-1]
+    if k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeMismatch(f"attention widths differ: {q.shape}, {k.shape}, {v.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(f"key/value row counts differ: {k.shape} vs {v.shape}")
     dh = d // p.heads
     outs = []
@@ -135,5 +140,5 @@ def multihead_attention(
         scores = scale(matmul_nt(qh, kh), 1.0 / math.sqrt(dh))
         attn = softmax(scores, key_mask=key_mask)
         outs.append(matmul(attn, vh))
-    merged = outs[0] if len(outs) == 1 else concat(outs, dim=1)
+    merged = outs[0] if len(outs) == 1 else concat(outs, dim=-1)
     return matmul(merged, p.wo)

@@ -152,10 +152,10 @@ def _assert_negatives_valid(c: Corpus, ld: LevelDraws) -> None:
     # a negative drawn for anchor label v must not belong to X_v, and must
     # carry the second-stage label u it was drawn from
     for v, u, idx in ld.negatives:
-        assert not c.label_matrix[idx, c.hierarchy.index[v]], \
-            f"negative draw for {v!r} has {v!r} active"
-        assert c.label_matrix[idx, c.hierarchy.index[u]], \
-            f"negative draw for {v!r} lacks its negative label {u!r}"
+        if c.label_matrix[idx, c.hierarchy.index[v]]:
+            raise SamplingError(f"negative draw for {v!r} has {v!r} active")
+        if not c.label_matrix[idx, c.hierarchy.index[u]]:
+            raise SamplingError(f"negative draw for {v!r} lacks its negative label {u!r}")
 
 
 def audit_label_draws(h: LabelHierarchy, strategy: str, draws_per_label: int,

@@ -1,0 +1,105 @@
+"""The per-record forward path, kept as the reference for the batched one.
+
+Each record builds its own graph: one self-attention per non-empty field
+over exactly its [special ∥ tokens] rows, the special-token row taken as the
+field vector, the field vectors stacked and fused, then the heads on one
+flattened (F·d) input. ``hmlc`` encodes and scores whole batches in one
+graph; tests compare it against these functions in f64.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hmlc import autodiff as ad
+from hmlc.encoder import AllFieldsEmpty, EncoderParams, special_id, tokenize
+from hmlc.model import (
+    HmcnModel,
+    LossConfig,
+    Prediction,
+    focal_loss,
+    local_embeddings,
+    path_regularization,
+)
+from hmlc.nn import mlp_forward, multihead_attention
+
+
+@dataclass
+class FieldEmbedding:
+    h_field: ad.Tensor
+    present: bool
+
+
+def encode_field(tokens: list[int], field: str, params: EncoderParams) -> FieldEmbedding:
+    """Self-attention over [special ∥ tokens]; the special-token row is the
+    field vector. An empty token sequence yields the zero vector."""
+    cfg = params.cfg
+    if not tokens:
+        zero = ad.const(np.zeros(cfg.d, dtype=params.table.data.dtype))
+        return FieldEmbedding(h_field=zero, present=False)
+    ids = [special_id(cfg, field)] + list(tokens)
+    seq = ad.embed(params.table, ids)
+    attended = multihead_attention(seq, seq, seq, params.field_attn)
+    return FieldEmbedding(h_field=ad.row(attended, 0), present=True)
+
+
+def fuse_fields(embs: list[FieldEmbedding], params: EncoderParams) -> ad.Tensor:
+    """Stack the F field vectors and self-attend; absent fields are masked out
+    of the keys so they receive exactly zero weight."""
+    if len(embs) != len(params.cfg.fields):
+        raise ad.ShapeMismatch(
+            f"expected {len(params.cfg.fields)} field embeddings, got {len(embs)}")
+    present = np.array([e.present for e in embs], dtype=bool)
+    if not present.any():
+        raise AllFieldsEmpty("record has no non-empty field")
+    hstar = ad.stack_rows([e.h_field for e in embs])
+    return multihead_attention(hstar, hstar, hstar, params.fuse_attn, key_mask=present)
+
+
+def encode_record(record, params: EncoderParams) -> ad.Tensor:
+    """Record -> h_0 of shape (F, d)."""
+    cfg = params.cfg
+    embs = [encode_field(tokenize(record.fields.get(f, ""), cfg), f, params)
+            for f in cfg.fields]
+    return fuse_fields(embs, params)
+
+
+def forward(record, model: HmcnModel) -> Prediction:
+    h_0 = encode_record(record, model.encoder)
+    levels = local_embeddings(h_0, model)
+    local_logits = ad.concat(
+        [mlp_forward(ad.flatten(h), model.level_heads[lvl])
+         for lvl, h in enumerate(levels)], dim=0)
+    global_logits = mlp_forward(ad.flatten(h_0), model.global_head)
+    x = ad.concat([local_logits, global_logits], dim=0)
+    return Prediction(
+        z_local=ad.sigmoid(local_logits),
+        z_global=ad.sigmoid(global_logits),
+        z_final=ad.sigmoid(mlp_forward(x, model.integration)),
+    )
+
+
+def total_loss(batch, model: HmcnModel, cfg: LossConfig) -> ad.Tensor:
+    """Σ over the batch, record by record, of focal loss + λ·path
+    regularization on ẑ."""
+    selectors = (model.child_sel, model.parent_sel)
+    total = None
+    for record in batch:
+        z = forward(record, model).z_final
+        term = focal_loss(z, record.labels, cfg)
+        if cfg.lambda_reg > 0.0:
+            reg = path_regularization(z, model.hierarchy, selectors)
+            term = ad.add(term, ad.scale(reg, cfg.lambda_reg))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def encode_batch(batch, corpus, encoder: EncoderParams, head) -> dict[int, ad.Tensor]:
+    """Each record the batch touches, encoded and projected on its own."""
+    return {
+        i: ad.l2_normalize(mlp_forward(ad.flatten(encode_record(corpus.records[i], encoder)),
+                                       head.mlp))
+        for i in batch.record_indices()
+    }

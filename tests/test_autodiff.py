@@ -51,10 +51,27 @@ def test_masked_softmax_matches_physical_removal():
     assert np.allclose(masked.data[:, mask], removed.data, atol=1e-6)
     assert np.all(masked.data[:, ~mask] == 0.0)
 
+    # a batch takes one mask per matrix; huge masked scores stay harmless
+    batch = np.stack([x, x])
+    batch[1, :, 1] = 1e30
+    masks = np.stack([mask, ~mask])
+    masks[1, 1] = False
+    out = ad.softmax(ad.tensor(batch), key_mask=masks)
+    for i in range(2):
+        assert np.allclose(out.data[i][:, masks[i]],
+                           ad.softmax(ad.tensor(x[:, masks[i]])).data, atol=1e-6)
+        assert np.all(out.data[i][:, ~masks[i]] == 0.0)
+
 
 def test_softmax_all_masked_raises():
     with pytest.raises(ad.ShapeMismatch):
         ad.softmax(ad.tensor(np.zeros((1, 3))), key_mask=np.zeros(3, dtype=bool))
+    # one fully masked matrix in a batch is enough
+    with pytest.raises(ad.ShapeMismatch):
+        ad.softmax(ad.tensor(np.zeros((2, 1, 3))),
+                   key_mask=np.array([[True, False, False], [False, False, False]]))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.softmax(ad.tensor(np.zeros((2, 1, 3))), key_mask=np.ones(3, dtype=bool))
 
 
 def test_log_of_nonpositive_raises():
@@ -156,6 +173,13 @@ def test_matmul_shape_errors():
         ad.matmul(a, ad.tensor(np.zeros((4, 2))))
     with pytest.raises(ad.ShapeMismatch):
         ad.matmul_nt(a, ad.tensor(np.zeros((2, 4))))
+    cube = ad.tensor(np.zeros((2, 2, 3)))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.matmul(cube, ad.tensor(np.zeros((2, 2))))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.matmul(cube, ad.tensor(np.zeros((3, 3, 2))))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.matmul_nt(cube, ad.tensor(np.zeros((3, 2, 3))))
     with pytest.raises(ad.ShapeMismatch):
         ad.add(a, ad.tensor(np.zeros(2)))
 
@@ -181,13 +205,23 @@ def test_every_op_passes_grad_check(f64, seed):
     pos = _t(rng, 4, lo=0.3, hi=2.0)      # keep log/pow/l2 away from kinks
     gain = _t(rng, 3, lo=0.5, hi=1.5)
     bias = _t(rng, 3)
+    cube = _t(rng, 2, 2, 3)   # a batch of two 2x3 matrices
+    cube2 = _t(rng, 2, 3, 2)
     mask = np.array([True, False, True])
+    mask3 = np.array([[True, False], [True, True]])
+    sq = lambda y: ad.sum_all(ad.mul(y, y))
 
     cases = {
         "matmul_22": lambda: ad.sum_all(ad.matmul(a, b)),
         "matmul_21": lambda: ad.sum_all(ad.matmul(a, vec)),
         "matmul_12": lambda: ad.sum_all(ad.matmul(vec, b)),
         "matmul_nt": lambda: ad.sum_all(ad.matmul_nt(a, c)),
+        "matmul_32": lambda: sq(ad.matmul(cube, b)),
+        "matmul_33": lambda: sq(ad.matmul(cube, cube2)),
+        "matmul_nt_3": lambda: sq(ad.matmul_nt(cube, cube)),
+        "add_bias_3d": lambda: sq(ad.add(cube, vec)),
+        "softmax_masked_3d": lambda: sq(
+            ad.softmax(ad.matmul_nt(cube, cube), key_mask=mask3)),
         "add": lambda: ad.sum_all(ad.add(a, c)),
         "add_bias": lambda: ad.sum_all(ad.add(a, vec)),
         "sub": lambda: ad.sum_all(ad.sub(a, c)),
@@ -216,9 +250,10 @@ def test_every_op_passes_grad_check(f64, seed):
         "reshape": lambda: ad.sum_all(ad.mul(ad.reshape(a, (3, 2)), b)),
         "flatten": lambda: ad.sum_all(ad.flatten(a)),
         "embed": lambda: ad.sum_all(ad.embed(a, [0, 1, 0])),
+        "embed_2d": lambda: sq(ad.embed(a, [[0, 1], [1, 1]])),
     }
     for name, f in cases.items():
-        report = ad.grad_check(f, [a, b, c, vec, pos, gain, bias])
+        report = ad.grad_check(f, [a, b, c, vec, pos, gain, bias, cube, cube2])
         assert report.ok, f"{name} (seed {seed}): {report}"
 
 

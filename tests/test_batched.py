@@ -1,0 +1,131 @@
+"""Batched forward against the per-record reference, in f64.
+
+``forward_batch``, ``total_loss`` and the batched ``encode_batch`` must
+compute what the per-record path in ``per_record.py`` computes, up to the
+order of floating-point sums: outputs, losses and every parameter gradient
+agree to 1e-10.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from hmlc import autodiff as ad
+from hmlc import contrastive as ct
+from hmlc.contrastive import HmclConfig, contrastive_loss, encode_batch, init_projection
+from hmlc.corpus import Corpus, Record
+from hmlc.encoder import EncoderConfig, tokenize
+from hmlc.hierarchy import labels_to_bits
+from hmlc.model import LossConfig, ModelConfig, forward, forward_batch, init_model, total_loss
+from hmlc.sampling import build_batch
+
+import per_record
+
+TOL = 1e-10
+ENC = EncoderConfig(vocab_buckets=64, d=8, heads=2, max_tokens=5)
+CFG = ModelConfig(encoder=ENC, head_hidden=8, cross_heads=2)
+
+
+def _records(h):
+    def rec(rid, labels, name, description, comments):
+        return Record(id=rid, labels=labels_to_bits(h, labels),
+                      fields={"name": name, "description": description, "comments": comments})
+
+    return [
+        rec("padded-short", ["Finance"], "alpha", "beta", "gamma"),
+        rec("padded-long", ["Game", "Game-RPG"], "alpha beta gamma", "delta epsilon", "zeta"),
+        rec("empty-field", ["Video"], "eta theta", "", "iota kappa"),
+        rec("single-field", ["Finance", "Finance-Loan"], "", "lambda mu nu", ""),
+        rec("past-max-tokens", ["Finance", "Finance-Loan", "Finance-Loan-Credit Loan"],
+            "xi", " ".join(f"w{i}" for i in range(3 * ENC.max_tokens)), "omicron pi"),
+        rec("game-two", ["Game", "Game-Moba"], "rho sigma", "tau", ""),
+    ]
+
+
+@pytest.fixture()
+def setup(demo, f64):
+    model = init_model(np.random.default_rng(11), demo, CFG)
+    for t in model.named().values():  # off the zero-bias init, as a trained model is
+        if t.data.ndim == 1:
+            t.data += np.random.default_rng(12).uniform(-0.1, 0.1, size=t.data.shape)
+    records = _records(demo)
+    token_counts = [len(tokenize(r.fields[f], ENC)) for r in records for f in ENC.fields]
+    assert 0 in token_counts and max(token_counts) == ENC.max_tokens
+    return model, records
+
+
+def _loss_and_grads(params, loss_fn):
+    ad.zero_grads(params)
+    with ad.Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+    grads = {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for k, t in params.items()}
+    ad.zero_grads(params)
+    return loss.item(), grads
+
+
+def _assert_grads_match(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=TOL, err_msg=name)
+
+
+def test_forward_batch_matches_per_record(setup):
+    model, records = setup
+    batch = forward_batch(records, model)
+    for i, record in enumerate(records):
+        want = per_record.forward(record, model)
+        single = forward(record, model)
+        for field in ("z_local", "z_global", "z_final"):
+            ref = getattr(want, field).data
+            np.testing.assert_allclose(getattr(batch, field).data[i], ref, rtol=0, atol=TOL)
+            np.testing.assert_allclose(getattr(single, field).data, ref, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("lambda_reg", [0.0, 1.0])
+def test_total_loss_and_gradients_match_per_record(setup, lambda_reg):
+    model, records = setup
+    cfg = LossConfig(lambda_reg=lambda_reg)
+    params = model.named()
+    got, got_grads = _loss_and_grads(params, lambda: total_loss(records, model, cfg))
+    want, want_grads = _loss_and_grads(params, lambda: per_record.total_loss(records, model, cfg))
+    assert got == pytest.approx(want, rel=0, abs=TOL)
+    _assert_grads_match(got_grads, want_grads)
+
+
+def test_contrastive_loss_and_gradients_match_per_record(setup, monkeypatch):
+    model, records = setup
+    corpus = Corpus(model.hierarchy, records)
+    cfg = HmclConfig(strategy="all", repeats_per_level=(1, 2, 2))
+    head = init_projection(np.random.default_rng(13), len(ENC.fields) * ENC.d, 8, 4)
+    batch = build_batch(corpus, [0, 3, 4], cfg.repeats_per_level, cfg.strategy,
+                        np.random.default_rng(14))
+    assert len(batch.record_indices()) > len(batch.anchors)
+    params = {**model.encoder.named("encoder"), **head.named()}
+
+    def loss():
+        return contrastive_loss(batch, corpus, model.encoder, head, cfg)
+
+    rows = encode_batch(batch, corpus, model.encoder, head)
+    got, got_grads = _loss_and_grads(params, loss)
+    monkeypatch.setattr(ct, "encode_batch", per_record.encode_batch)
+    want_rows = ct.encode_batch(batch, corpus, model.encoder, head)
+    want, want_grads = _loss_and_grads(params, loss)
+    assert rows.keys() == want_rows.keys()
+    for i in rows:
+        np.testing.assert_allclose(rows[i].data, want_rows[i].data, rtol=0, atol=TOL)
+    assert got == pytest.approx(want, rel=0, abs=TOL)
+    _assert_grads_match(got_grads, want_grads)
+
+
+def test_train_step_records_one_small_graph(demo):
+    # the point of batching: the tape of a step does not grow with the batch
+    model = init_model(np.random.default_rng(0), demo, CFG)
+    sizes = []
+    for n in (1, 6):
+        with ad.Tape() as tape:
+            total_loss(_records(demo)[:n], model, LossConfig())
+        sizes.append(len(tape.nodes))
+    assert sizes[0] == sizes[1] < 200

@@ -84,6 +84,27 @@ def test_truncated_payload(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep", [0, 1, 7])
+def test_truncated_header_length(tmp_path, keep):
+    # cut after the magic, inside the 8-byte header-length field
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, _arrays(np.float32), "h")
+    path.write_bytes(path.read_bytes()[:len(MAGIC) + keep])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("declared", [10_000, 2**63, 2**64 - 1])
+def test_header_length_past_end_of_file(tmp_path, declared):
+    # 2**63 and above exceed sys.maxsize, which a read() size cannot take
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, _arrays(np.float32), "h")
+    blob = path.read_bytes()
+    path.write_bytes(MAGIC + struct.pack("<Q", declared) + blob[len(MAGIC) + 8:])
+    with pytest.raises(CheckpointError, match="past the end"):
+        load_checkpoint(path)
+
+
 def test_unsupported_dtype_on_save(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         save_checkpoint(tmp_path / "x.ckpt", {"ids": np.arange(4)}, "h")

@@ -354,6 +354,36 @@ def test_infer_malformed_lines(ws, tmp_path, capsys):
     assert rc == 2
 
 
+def test_infer_skips_fields_that_are_not_objects(ws, tmp_path, capsys):
+    bad = tmp_path / "fields.jsonl"
+    bad.write_text("\n".join([
+        json.dumps({"id": "list", "fields": ["alpha", "beta"]}),
+        json.dumps({"id": "null", "fields": None}),
+        json.dumps({"id": "string", "fields": "alpha beta"}),
+        json.dumps(["not", "an", "object"]),
+        json.dumps({"id": "ok", "fields": {"name": "alpha beta"}}),
+    ]) + "\n")
+    out = tmp_path / "inf"
+    argv = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+            "--input", str(bad), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.count("warning: skipped line") == 4
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["ok"]
+    assert main(argv + ["--strict"]) == 2
+
+
+@pytest.mark.parametrize("keep", [9, 15])
+def test_infer_truncated_checkpoint(ws, tmp_path, capsys, keep):
+    # cut inside the 8-byte header length that follows the 8-byte magic
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes((ws["tr1"] / "model.ckpt").read_bytes()[:keep])
+    rc = main(["infer", "--checkpoint", str(ckpt),
+               "--input", str(ws["data"] / "test.jsonl")])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_infer_empty_input(ws, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

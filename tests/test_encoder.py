@@ -10,15 +10,16 @@ from hmlc.encoder import (
     AllFieldsEmpty,
     EncoderConfig,
     EncoderError,
-    encode_field,
     encode_record,
-    fuse_fields,
+    encode_records,
     init_encoder,
     special_id,
     tokenize,
 )
 from hmlc.corpus import Record
 from hmlc.nn import multihead_attention
+
+from per_record import encode_field, fuse_fields
 
 CFG = EncoderConfig(vocab_buckets=64, d=8, heads=2, max_tokens=16,
                     fields=("name", "description", "comments"))
@@ -100,11 +101,10 @@ def test_empty_field_zero_and_absent():
 
 def test_field_vector_deterministic():
     params = init_encoder(np.random.default_rng(0), CFG)
-    toks = tokenize("alpha beta", CFG)
-    a = encode_field(toks, "name", params).h_field.data
-    b = encode_field(toks, "name", params).h_field.data
+    a = encode_record(_record(name="alpha beta", description="", comments=""), params).data
+    b = encode_record(_record(name="alpha beta", description="", comments=""), params).data
     assert np.array_equal(a, b)
-    c = encode_field(toks, "comments", params).h_field.data
+    c = encode_record(_record(name="", description="", comments="alpha beta"), params).data
     assert not np.allclose(a, c)  # special token distinguishes fields
 
 
@@ -114,10 +114,8 @@ def test_equal_logit_attention_is_permutation_invariant():
     params = init_encoder(np.random.default_rng(1), CFG)
     for wq in params.field_attn.wq:
         wq.data[:] = 0.0
-    toks = tokenize("alpha beta gamma", CFG)
-    shuffled = [toks[2], toks[0], toks[1]]
-    a = encode_field(toks, "name", params).h_field.data
-    b = encode_field(shuffled, "name", params).h_field.data
+    a = encode_record(_record(name="alpha beta gamma"), params).data
+    b = encode_record(_record(name="gamma alpha beta"), params).data
     assert np.allclose(a, b, atol=1e-6)
 
 
@@ -159,7 +157,7 @@ def test_fuse_mask_matches_physical_removal():
         encode_field(tokenize(rec.fields[f], CFG), f, params)
         for f in CFG.fields
     ]
-    fused = fuse_fields(embs, params)
+    fused = encode_record(rec, params)
     present_rows = ad.stack_rows([embs[0].h_field, embs[1].h_field])
     all_rows = ad.stack_rows([e.h_field for e in embs])
     reference = multihead_attention(all_rows, present_rows, present_rows,
@@ -173,6 +171,25 @@ def test_absent_field_content_does_not_leak():
     a = encode_record(_record(comments=""), params)
     b = encode_record(_record(comments="   ...  "), params)  # no word chars
     assert np.array_equal(a.data, b.data)
+
+
+def test_encode_records_pads_without_leaking(f64):
+    # a record's rows in a padded batch are its own encoding: longer fields,
+    # empty fields and cut-off fields elsewhere in the batch change nothing
+    params = init_encoder(np.random.default_rng(6), CFG)
+    records = [
+        _record(name="alpha", description="beta", comments=""),
+        _record(name="", description=" ".join(f"w{i}" for i in range(40)), comments="x y"),
+        _record(name="gamma delta epsilon", description="", comments=""),
+    ]
+    batch = encode_records(records, params)
+    assert batch.shape == (3, 3, CFG.d)
+    for i, rec in enumerate(records):
+        assert np.allclose(batch.data[i], encode_record(rec, params).data, rtol=0, atol=1e-12)
+    with pytest.raises(AllFieldsEmpty):
+        encode_records([records[0], _record(name="", description="", comments="")], params)
+    with pytest.raises(EncoderError):
+        encode_records([], params)
 
 
 def test_encoder_grad_check(f64):

@@ -23,6 +23,7 @@ from hmlc.hierarchy import (
     labels_to_bits,
     load_hierarchy,
     parse_hierarchy,
+    repair_bits,
     siblings_of,
     validate_assignment,
 )
@@ -241,3 +242,28 @@ def test_hypothesis_tree_invariants(edges):
         u = h.parent[v]
         peers = h.level_index[1] if u is None else h.children[u]
         assert set(siblings_of(h, v)) == set(peers) - {v}
+
+
+def _repair_loop(h, bits):
+    """The label-by-label repair the package used before repair_bits."""
+    bits = bits.copy()
+    for v in h.labels:  # level-major: parents precede children
+        p = h.parent[v]
+        if p is not None and bits[h.index[v]] and not bits[h.index[p]]:
+            bits[h.index[v]] = 0
+    return bits
+
+
+def test_repair_bits_matches_label_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        tree = random_tree(rng, int(rng.integers(1, 40)))
+        rows = rng.integers(0, 2, size=(8, tree.m)).astype(np.uint8)
+        repaired = repair_bits(tree, rows)
+        assert repaired.dtype == np.uint8
+        for row, got in zip(rows, repaired):
+            assert np.array_equal(got, _repair_loop(tree, row))
+            assert np.array_equal(repair_bits(tree, row), got)
+            assert validate_assignment(tree, got) == []
+    with pytest.raises(LengthMismatch):
+        repair_bits(tree, np.zeros(tree.m + 1, dtype=np.uint8))

@@ -51,6 +51,9 @@ def test_rowwise_matches_per_vector():
     stacked = mlp_forward(ad.tensor(np.stack([x1, x2])), p)
     assert np.allclose(stacked.data[0], mlp_forward(ad.tensor(x1), p).data, atol=1e-6)
     assert np.allclose(stacked.data[1], mlp_forward(ad.tensor(x2), p).data, atol=1e-6)
+    batched = mlp_forward(ad.tensor(np.stack([[x1, x2], [x2, x1]])), p)
+    assert batched.shape == (2, 2, 2)
+    assert np.allclose(batched.data[1, 0], stacked.data[1], atol=1e-6)
 
 
 def test_init_mlp_validation():
@@ -101,6 +104,11 @@ def test_attention_validation():
         multihead_attention(q, q, ad.tensor(rng.normal(size=(3, 4))), p)
     with pytest.raises(ad.ShapeMismatch):
         multihead_attention(ad.tensor(np.zeros(4)), q, q, p)
+    batch = ad.tensor(rng.normal(size=(3, 2, 4)))
+    with pytest.raises(ad.ShapeMismatch):
+        multihead_attention(batch, q, q, p)  # batched query, unbatched keys
+    with pytest.raises(ad.ShapeMismatch):
+        multihead_attention(batch, ad.tensor(np.zeros((2, 2, 4))), batch, p)
 
 
 def test_attention_named_parameters():
@@ -138,3 +146,20 @@ def test_masked_attention_matches_removal():
     masked = multihead_attention(q, ad.tensor(kv), ad.tensor(kv), p, key_mask=mask)
     removed = multihead_attention(q, ad.tensor(kv[mask]), ad.tensor(kv[mask]), p)
     assert np.allclose(masked.data, removed.data, atol=1e-6)
+
+
+def test_batched_attention_matches_each_matrix():
+    # every matrix of the batch attends on its own, over its unmasked keys
+    rng = np.random.default_rng(7)
+    p = init_attention(rng, 4, 2)
+    q = rng.normal(size=(3, 2, 4))
+    kv = rng.normal(size=(3, 5, 4))
+    mask = np.array([[True] * 5,
+                     [True, True, False, False, False],
+                     [False, True, False, True, False]])
+    batched = multihead_attention(ad.tensor(q), ad.tensor(kv), ad.tensor(kv), p, key_mask=mask)
+    assert batched.shape == (3, 2, 4)
+    for i in range(3):
+        kv_i = ad.tensor(kv[i][mask[i]])
+        one = multihead_attention(ad.tensor(q[i]), kv_i, kv_i, p)
+        assert np.allclose(batched.data[i], one.data, atol=1e-6)

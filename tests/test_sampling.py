@@ -18,7 +18,9 @@ from hmlc.hierarchy import (
 )
 from hmlc.sampling import (
     STRATEGIES,
+    LevelDraws,
     SamplingError,
+    _assert_negatives_valid,
     audit_instance_draws,
     audit_label_draws,
     build_batch,
@@ -259,3 +261,21 @@ def test_write_audit_csv(tmp_path, demo):
     assert all(r[0] == "sibling" and r[1] == "label" for r in rows[1:])
     keys = [(r[2], r[3]) for r in rows[1:]]
     assert keys == sorted(keys)
+
+
+def test_invalid_negative_draws_raise(demo):
+    # checked with an exception, not assert, so python -O keeps the check
+    corpus = Corpus(demo, [
+        make_record(demo, "fin", ["Finance"]),
+        make_record(demo, "game", ["Game"]),
+    ])
+    ok = LevelDraws(level=1, anchor_labels=("Finance",), negatives=[("Finance", "Game", 1)])
+    _assert_negatives_valid(corpus, ok)
+    has_anchor = LevelDraws(level=1, anchor_labels=("Finance",),
+                            negatives=[("Finance", "Video", 0)])
+    with pytest.raises(SamplingError, match="has 'Finance' active"):
+        _assert_negatives_valid(corpus, has_anchor)
+    lacks_label = LevelDraws(level=1, anchor_labels=("Finance",),
+                             negatives=[("Finance", "Video", 1)])
+    with pytest.raises(SamplingError, match="lacks its negative label 'Video'"):
+        _assert_negatives_valid(corpus, lacks_label)
