@@ -74,7 +74,7 @@ def mode_train(args) -> None:
         t0 = time.perf_counter()
         history = train(train_corpus, model, schedule, loss_cfg)
         wall = time.perf_counter() - t0
-        report, violations = evaluate(test_corpus, model, loss_cfg)
+        report, violations = evaluate(test_corpus, model, loss_cfg)["raw"]
         emit({
             "mode": "train", "seed": seed, "epochs_run": len(history),
             "wall_s": round(wall, 2),
@@ -94,7 +94,7 @@ def mode_pretrain_compare(args) -> None:
         t0 = time.perf_counter()
         plain_history = train(train_corpus, model, schedule, loss_cfg)
         plain_wall = time.perf_counter() - t0
-        plain_report, _ = evaluate(test_corpus, model, loss_cfg)
+        plain_report, _ = evaluate(test_corpus, model, loss_cfg)["raw"]
 
         _, train_corpus, test_corpus, model, cfg, schedule, seeds = build(args, seed)
         t0 = time.perf_counter()
@@ -103,7 +103,7 @@ def mode_pretrain_compare(args) -> None:
         t0 = time.perf_counter()
         pre_history = train(train_corpus, model, schedule, loss_cfg)
         pre_train_wall = time.perf_counter() - t0
-        pre_report, _ = evaluate(test_corpus, model, loss_cfg)
+        pre_report, _ = evaluate(test_corpus, model, loss_cfg)["raw"]
         emit({
             "mode": "pretrain-compare", "seed": seed,
             "strategy": args.strategy,
@@ -133,7 +133,7 @@ def mode_lambda_compare(args) -> None:
             t0 = time.perf_counter()
             train(train_corpus, model, schedule, loss_cfg)
             wall = time.perf_counter() - t0
-            report, violations = evaluate(test_corpus, model, loss_cfg)
+            report, violations = evaluate(test_corpus, model, loss_cfg)["raw"]
             results[lam] = (violations, report.micro_f1, wall)
         emit({
             "mode": "lambda-compare", "seed": seed,

@@ -149,7 +149,7 @@ def zero_grads(tensors) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product for (..., k) @ (k, n), a batch of matrices
-    (B, r, k) @ (B, k, s), and the 1D cases (r, k) @ (k,) and (k,) @ (k, n)."""
+    (B, r, k) @ (B, k, s), and the 1D case (k,) @ (k, n)."""
     if a.ndim >= 2 and b.ndim == 2:
         # one GEMM over every leading row; 2D @ 2D is the case with none
         k, n = b.shape
@@ -174,17 +174,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             def fn(g):
                 _accum(a, g @ b.data.transpose(0, 2, 1))
                 _accum(b, a.data.transpose(0, 2, 1) @ g)
-            return fn
-
-    elif a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-        data = a.data @ b.data
-
-        def bw():
-            def fn(g):
-                _accum(a, np.outer(g, b.data))
-                _accum(b, a.data.T @ g)
             return fn
 
     elif a.ndim == 1 and b.ndim == 2:
@@ -410,51 +399,6 @@ def softmax(a: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
     return _emit(p, bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatch(f"layer_norm gain/bias must be ({d},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
-
-    def bw():
-        def fn(g):
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-            gx = g * gain.data
-            _accum(
-                a,
-                inv
-                * (
-                    gx
-                    - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-                ),
-            )
-        return fn
-
-    return _emit(data, bw)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatch(f"mean_rows expects 2D, got {a.shape}")
-    r = a.shape[0]
-    data = a.data.mean(axis=0)
-
-    def bw():
-        def fn(g):
-            _accum(a, np.broadcast_to(g / r, a.shape))
-        return fn
-
-    return _emit(data, bw)
-
-
 def l2_normalize(a: Tensor) -> Tensor:
     """Scale rows (2D) or the whole vector (1D) to unit Euclidean norm."""
     if a.ndim == 1:
@@ -502,53 +446,6 @@ def concat(parts: list[Tensor], dim: int = 0) -> Tensor:
                 sl[dim] = slice(start, start + size)
                 _accum(p, g[tuple(sl)])
                 start += size
-        return fn
-
-    return _emit(data, bw)
-
-
-def stack_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 1D tensors into a 2D matrix, one per row."""
-    if not parts or any(p.ndim != 1 for p in parts):
-        raise ShapeMismatch("stack_rows needs a nonempty list of 1D tensors")
-    data = np.stack([p.data for p in parts])
-
-    def bw():
-        def fn(g):
-            for i, p in enumerate(parts):
-                _accum(p, g[i])
-        return fn
-
-    return _emit(data, bw)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatch(f"slice_rows expects 2D, got {a.shape}")
-    data = a.data[start:stop].copy()
-
-    def bw():
-        def fn(g):
-            if not a.constant and a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            if not a.constant:
-                a.grad[start:stop] += g
-        return fn
-
-    return _emit(data, bw)
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatch(f"row expects 2D, got {a.shape}")
-    data = a.data[i].copy()
-
-    def bw():
-        def fn(g):
-            if not a.constant and a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            if not a.constant:
-                a.grad[i] += g
         return fn
 
     return _emit(data, bw)

@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +73,23 @@ def _out_dir(path: str | None) -> Path | None:
     return out
 
 
+@contextmanager
 def _sidecar(out: Path | None):
-    """File handler carrying timestamps; stays out of the artifact set."""
+    """Timestamped log lines go to ``out/run.log`` while the block runs; the
+    file stays out of the artifact set and is closed on the way out."""
     if out is None:
-        return None
+        yield
+        return
     handler = logging.FileHandler(out / "run.log")
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
-    logging.getLogger().addHandler(handler)
-    logging.getLogger().setLevel(logging.INFO)
-    return handler
+    root = logging.getLogger()
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        handler.close()
 
 
 def _write_json(path: Path, payload) -> None:
@@ -142,8 +151,7 @@ def cmd_gen_synthetic(args) -> int:
     out = _out_dir(args.out)
     if out is None:
         raise ConfigError("gen-synthetic requires --out")
-    handler = _sidecar(out)
-    try:
+    with _sidecar(out):
         if args.hierarchy:
             h = load_hierarchy(args.hierarchy)
             edges = h.canonical_edges()
@@ -168,17 +176,13 @@ def cmd_gen_synthetic(args) -> int:
         _write_json(out / "manifest.json", manifest)
         log.info("generated synthetic corpus into %s", out)
         return EXIT_OK
-    finally:
-        if handler:
-            logging.getLogger().removeHandler(handler)
 
 
 def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     ad.set_default_dtype(cfg.precision)
     out = _out_dir(args.out or cfg.out)
-    handler = _sidecar(out)
-    try:
+    with _sidecar(out):
         h, corpus = _load_inputs(cfg, "train", repair=args.repair)
         model = _build_model(cfg, h)
         result = pretrain(corpus, model, cfg.hmcl)
@@ -204,17 +208,13 @@ def cmd_pretrain(args) -> int:
             print(json.dumps(diagnostics, sort_keys=True))
         log.info("pretraining finished: %s", diagnostics)
         return EXIT_OK
-    finally:
-        if handler:
-            logging.getLogger().removeHandler(handler)
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     ad.set_default_dtype(cfg.precision)
     out = _out_dir(args.out or cfg.out)
-    handler = _sidecar(out)
-    try:
+    with _sidecar(out):
         h, corpus = _load_inputs(cfg, "train", repair=args.repair)
         model = _build_model(cfg, h)
         scope = model_scope(h.canonical_edges(), cfg.model, cfg.precision)
@@ -249,27 +249,21 @@ def cmd_train(args) -> int:
             print(json.dumps(summary, sort_keys=True))
         log.info("training finished: %s", summary)
         return EXIT_OK
-    finally:
-        if handler:
-            logging.getLogger().removeHandler(handler)
 
 
 def cmd_eval(args) -> int:
     model, _header = _restore_model(args.checkpoint)
     cfg = load_run_config(args.config, _overrides(args))
     out = _out_dir(args.out or cfg.out)
-    handler = _sidecar(out)
-    try:
+    with _sidecar(out):
         h, corpus = _load_inputs(cfg, args.split, repair=args.repair)
-        loss_cfg = cfg.loss
-        raw_report, raw_viol = evaluate(corpus, model, loss_cfg, repair=False)
-        rep_report, rep_viol = evaluate(corpus, model, loss_cfg, repair=True)
-        payload = {
-            "split": args.split,
-            "threshold": loss_cfg.threshold,
-            "raw": {**raw_report.to_dict(), "violations": raw_viol},
-            "repaired": {**rep_report.to_dict(), "violations": rep_viol},
-        }
+        if h.canonical_edges() != model.hierarchy.canonical_edges():
+            # same labels in another order would be scored on the wrong columns
+            raise ConfigHashMismatch(
+                f"{args.checkpoint}: the config's hierarchy differs from the checkpoint's")
+        payload = {"split": args.split, "threshold": cfg.loss.threshold}
+        for name, (report, violations) in evaluate(corpus, model, cfg.loss).items():
+            payload[name] = {**report.to_dict(), "violations": violations}
         if args.scores:
             scores = json.loads(Path(args.scores).read_text())
             ks = ks_statistic(scores["pos"], scores["neg"])
@@ -279,9 +273,6 @@ def cmd_eval(args) -> int:
         else:
             print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
-    finally:
-        if handler:
-            logging.getLogger().removeHandler(handler)
 
 
 def cmd_infer(args) -> int:
@@ -289,10 +280,9 @@ def cmd_infer(args) -> int:
     h = model.hierarchy
     loss_cfg = LossConfig(threshold=args.threshold)
     out = _out_dir(args.out)
-    handler = _sidecar(out)
     skipped = 0
     lines_out = []
-    try:
+    with _sidecar(out):
         with open(args.input, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
@@ -332,9 +322,6 @@ def cmd_infer(args) -> int:
             print(f"error: {skipped} malformed input lines skipped", file=sys.stderr)
             return EXIT_INPUT
         return EXIT_OK
-    finally:
-        if handler:
-            logging.getLogger().removeHandler(handler)
 
 
 def cmd_sample_audit(args) -> int:
@@ -358,8 +345,7 @@ def cmd_sample_audit(args) -> int:
     if args.strategy:
         strategy = args.strategy
     out = _out_dir(args.out)
-    handler = _sidecar(out)
-    try:
+    with _sidecar(out):
         label_counts = audit_label_draws(h, strategy, args.draws, seed)
         if out is not None:
             write_audit_csv(out / "label_stage.csv", label_counts, strategy, stage="label")
@@ -373,9 +359,6 @@ def cmd_sample_audit(args) -> int:
             for (v, u), n in sorted(label_counts.items()):
                 print(f"{strategy},label,{v},{u},{n}")
         return EXIT_OK
-    finally:
-        if handler:
-            logging.getLogger().removeHandler(handler)
 
 
 # ---------------------------------------------------------------------------

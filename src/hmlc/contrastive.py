@@ -93,49 +93,46 @@ def pair_probability(s, s_prime, polarity: str, alpha: float = 0.1) -> float:
 
 
 def encode_batch(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,
-                 head: ProjectionHead) -> dict[int, Tensor]:
+                 head: ProjectionHead) -> Tensor:
     """Each record the batch touches is encoded and projected exactly once,
     all of them in one graph; reuse keeps the tape small and still
-    accumulates every gradient path. Returns record index -> unit row."""
-    indices = batch.record_indices()
-    rows = project(encode_records([corpus.records[i] for i in indices], encoder), head)
-    return {i: ad.row(rows, j) for j, i in enumerate(indices)}
+    accumulates every gradient path. Returns the (R, p) unit rows in
+    ``batch.record_indices()`` order."""
+    records = [corpus.records[i] for i in batch.record_indices()]
+    return project(encode_records(records, encoder), head)
 
 
 def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,
                      head: ProjectionHead, cfg: HmclConfig) -> Tensor:
-    """L_cl for the batch (a scalar ≤ 0). Levels where the anchor has no
-    active label are skipped; minimize the negation."""
+    """L_cl for the batch (a scalar ≤ 0); minimize the negation.
+
+    One weighted sum over the anchor-by-record score matrix S = s_a·s_r/α:
+    each positive draw adds 1/|V⁺| to its record's column of the anchor's
+    row of W⁺, each negative draw the same to W⁻ (repeated draws add up),
+    and L_cl = (Σ W⁺⊙log σ(S) + Σ W⁻⊙log σ(−S)) / (|B|·L). Levels where the
+    anchor has no active label carry no weight."""
     if not batch.anchors:
         raise EmptyBatch("batch has no anchors")
-    emb = encode_batch(batch, corpus, encoder, head)
-    inv_alpha = 1.0 / cfg.contrastive_alpha
-    depth = corpus.hierarchy.depth
-    total = None
-    for i, per_anchor in zip(batch.anchors, batch.draws):
-        s_i = emb[i]
+    col = {i: j for j, i in enumerate(batch.record_indices())}
+    w_pos = np.zeros((len(batch.anchors), len(col)))
+    w_neg = np.zeros_like(w_pos)
+    for a, per_anchor in enumerate(batch.draws):
         for ld in per_anchor:
-            if ld.n_pos_labels == 0:
-                continue
-            parts = []
-            if ld.positives:
-                mat = ad.stack_rows([emb[p] for p in ld.positives])
-                scores = ad.matmul(mat, s_i)
-                parts.append(ad.sum_all(ad.log_sigmoid(ad.scale(scores, inv_alpha))))
-            negs = ld.negative_indices()
-            if negs:
-                mat = ad.stack_rows([emb[p] for p in negs])
-                scores = ad.matmul(mat, s_i)
-                # log(1 − σ(z)) = log σ(−z)
-                parts.append(ad.sum_all(ad.log_sigmoid(ad.scale(scores, -inv_alpha))))
-            if not parts:
-                continue
-            term = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
-            term = ad.scale(term, 1.0 / ld.n_pos_labels)
-            total = term if total is None else ad.add(total, term)
-    if total is None:
+            if ld.n_pos_labels:
+                weight = 1.0 / ld.n_pos_labels
+                np.add.at(w_pos[a], [col[p] for p in ld.positives], weight)
+                np.add.at(w_neg[a], [col[p] for p in ld.negative_indices()], weight)
+    if not (w_pos.any() or w_neg.any()):
         raise EmptyBatch("no anchor in the batch has any active label")
-    return ad.scale(total, 1.0 / (len(batch.anchors) * depth))
+    rows = encode_batch(batch, corpus, encoder, head)
+    anchor_rows = ad.embed(rows, [col[i] for i in batch.anchors])
+    scores = ad.scale(ad.matmul_nt(anchor_rows, rows), 1.0 / cfg.contrastive_alpha)
+    dtype = rows.data.dtype
+    pos = ad.mul(ad.const(w_pos, dtype=dtype), ad.log_sigmoid(scores))
+    # log(1 − σ(z)) = log σ(−z)
+    neg = ad.mul(ad.const(w_neg, dtype=dtype), ad.log_sigmoid(ad.scale(scores, -1.0)))
+    total = ad.add(ad.sum_all(pos), ad.sum_all(neg))
+    return ad.scale(total, 1.0 / (len(batch.anchors) * corpus.hierarchy.depth))
 
 
 def project_corpus(corpus: Corpus, encoder: EncoderParams,

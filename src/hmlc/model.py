@@ -14,7 +14,7 @@ The heads take one record's h_0 (F, d) or a batch's (B, F, d) alike:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,10 +137,6 @@ def local_embeddings(h_0: Tensor, model: HmcnModel) -> list[Tensor]:
     return levels
 
 
-def local_predict(h_level: Tensor, model: HmcnModel, lvl: int) -> Tensor:
-    return ad.sigmoid(_local_logits(h_level, model, lvl))
-
-
 def _flat_fields(h: Tensor) -> Tensor:
     """(..., F, d) -> (..., F·d): one input row per record for the heads."""
     return ad.reshape(h, h.shape[:-2] + (-1,))
@@ -148,10 +144,6 @@ def _flat_fields(h: Tensor) -> Tensor:
 
 def _local_logits(h_level: Tensor, model: HmcnModel, lvl: int) -> Tensor:
     return mlp_forward(_flat_fields(h_level), model.level_heads[lvl - 1])
-
-
-def global_predict(h_0: Tensor, model: HmcnModel) -> Tensor:
-    return ad.sigmoid(_global_logits(h_0, model))
 
 
 def _global_logits(h_0: Tensor, model: HmcnModel) -> Tensor:
@@ -335,9 +327,12 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
     return history
 
 
-def evaluate(corpus: Corpus, model: HmcnModel, cfg: LossConfig, repair: bool = False):
-    """(F1Report, violation count) for thresholded predictions over a corpus."""
-    preds = np.stack([
-        predict_labels(r, model, cfg, repair=repair) for r in corpus.records
-    ])
-    return micro_macro_f1(corpus.label_matrix, preds), count_violations(model.hierarchy, preds)
+def evaluate(corpus: Corpus, model: HmcnModel, cfg: LossConfig):
+    """{"raw": (F1Report, violation count), "repaired": (...)} for the
+    thresholded predictions over a corpus. Each record is scored once; the
+    repaired rows are the raw ones after top-down ``repair_bits``."""
+    z = np.stack([predict_proba(r, model) for r in corpus.records])
+    raw = (z >= cfg.threshold).astype(np.uint8)
+    h = model.hierarchy
+    return {name: (micro_macro_f1(corpus.label_matrix, bits), count_violations(h, bits))
+            for name, bits in (("raw", raw), ("repaired", repair_bits(h, raw)))}

@@ -1,10 +1,13 @@
-"""The per-record forward path, kept as the reference for the batched one.
+"""The per-record forward path and the per-pair contrastive loss, kept as
+the references for the batched ones.
 
 Each record builds its own graph: one self-attention per non-empty field
 over exactly its [special ∥ tokens] rows, the special-token row taken as the
 field vector, the field vectors stacked and fused, then the heads on one
-flattened (F·d) input. ``hmlc`` encodes and scores whole batches in one
-graph; tests compare it against these functions in f64.
+flattened (F·d) input. The contrastive loss is summed pair group by pair
+group, one anchor and level at a time. ``hmlc`` encodes and scores whole
+batches in one graph and writes the loss as one weighted score matrix;
+tests compare it against these functions in f64.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hmlc import autodiff as ad
+from hmlc.contrastive import EmptyBatch
 from hmlc.encoder import AllFieldsEmpty, EncoderParams, special_id, tokenize
 from hmlc.model import (
     HmcnModel,
@@ -24,6 +28,11 @@ from hmlc.model import (
     path_regularization,
 )
 from hmlc.nn import mlp_forward, multihead_attention
+
+
+def stack(vectors: list[ad.Tensor]) -> ad.Tensor:
+    """Equal-length vectors as the rows of one matrix."""
+    return ad.concat([ad.reshape(v, (1, -1)) for v in vectors], dim=0)
 
 
 @dataclass
@@ -42,7 +51,7 @@ def encode_field(tokens: list[int], field: str, params: EncoderParams) -> FieldE
     ids = [special_id(cfg, field)] + list(tokens)
     seq = ad.embed(params.table, ids)
     attended = multihead_attention(seq, seq, seq, params.field_attn)
-    return FieldEmbedding(h_field=ad.row(attended, 0), present=True)
+    return FieldEmbedding(h_field=ad.embed(attended, 0), present=True)
 
 
 def fuse_fields(embs: list[FieldEmbedding], params: EncoderParams) -> ad.Tensor:
@@ -54,7 +63,7 @@ def fuse_fields(embs: list[FieldEmbedding], params: EncoderParams) -> ad.Tensor:
     present = np.array([e.present for e in embs], dtype=bool)
     if not present.any():
         raise AllFieldsEmpty("record has no non-empty field")
-    hstar = ad.stack_rows([e.h_field for e in embs])
+    hstar = stack([e.h_field for e in embs])
     return multihead_attention(hstar, hstar, hstar, params.fuse_attn, key_mask=present)
 
 
@@ -103,3 +112,36 @@ def encode_batch(batch, corpus, encoder: EncoderParams, head) -> dict[int, ad.Te
                                        head.mlp))
         for i in batch.record_indices()
     }
+
+
+def contrastive_loss(batch, corpus, encoder: EncoderParams, head, cfg) -> ad.Tensor:
+    """L_cl for the batch (a scalar ≤ 0). Levels where the anchor has no
+    active label are skipped; minimize the negation."""
+    if not batch.anchors:
+        raise EmptyBatch("batch has no anchors")
+    emb = encode_batch(batch, corpus, encoder, head)
+    inv_alpha = 1.0 / cfg.contrastive_alpha
+    depth = corpus.hierarchy.depth
+    total = None
+    for i, per_anchor in zip(batch.anchors, batch.draws):
+        s_i = emb[i]
+        for ld in per_anchor:
+            if ld.n_pos_labels == 0:
+                continue
+            parts = []
+            if ld.positives:
+                scores = ad.matmul_nt(stack([emb[p] for p in ld.positives]), stack([s_i]))
+                parts.append(ad.sum_all(ad.log_sigmoid(ad.scale(scores, inv_alpha))))
+            negs = ld.negative_indices()
+            if negs:
+                scores = ad.matmul_nt(stack([emb[p] for p in negs]), stack([s_i]))
+                # log(1 − σ(z)) = log σ(−z)
+                parts.append(ad.sum_all(ad.log_sigmoid(ad.scale(scores, -inv_alpha))))
+            if not parts:
+                continue
+            term = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
+            term = ad.scale(term, 1.0 / ld.n_pos_labels)
+            total = term if total is None else ad.add(total, term)
+    if total is None:
+        raise EmptyBatch("no anchor in the batch has any active label")
+    return ad.scale(total, 1.0 / (len(batch.anchors) * depth))

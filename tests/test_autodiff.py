@@ -141,14 +141,6 @@ def test_embed_scatter_add_repeated_ids():
         ad.embed(table, [3])
 
 
-def test_row_and_slice_accumulate_in_place():
-    x = ad.tensor(np.arange(6.0).reshape(3, 2))
-    with ad.Tape() as tape:
-        y = ad.add(ad.row(x, 1), ad.row(x, 1))
-        tape.backward(ad.sum_all(y))
-    assert np.allclose(x.grad, [[0, 0], [2, 2], [0, 0]])
-
-
 def test_zero_grads_dict_and_list():
     a, b = ad.tensor(1.0), ad.tensor(2.0)
     a.grad = np.ones(())
@@ -171,6 +163,8 @@ def test_matmul_shape_errors():
     a = ad.tensor(np.zeros((2, 3)))
     with pytest.raises(ad.ShapeMismatch):
         ad.matmul(a, ad.tensor(np.zeros((4, 2))))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.matmul(a, ad.tensor(np.zeros(3)))  # a matrix times a vector: use (3, 1)
     with pytest.raises(ad.ShapeMismatch):
         ad.matmul_nt(a, ad.tensor(np.zeros((2, 4))))
     cube = ad.tensor(np.zeros((2, 2, 3)))
@@ -203,8 +197,6 @@ def test_every_op_passes_grad_check(f64, seed):
     c = _t(rng, 2, 3)
     vec = _t(rng, 3)
     pos = _t(rng, 4, lo=0.3, hi=2.0)      # keep log/pow/l2 away from kinks
-    gain = _t(rng, 3, lo=0.5, hi=1.5)
-    bias = _t(rng, 3)
     cube = _t(rng, 2, 2, 3)   # a batch of two 2x3 matrices
     cube2 = _t(rng, 2, 3, 2)
     mask = np.array([True, False, True])
@@ -213,7 +205,6 @@ def test_every_op_passes_grad_check(f64, seed):
 
     cases = {
         "matmul_22": lambda: ad.sum_all(ad.matmul(a, b)),
-        "matmul_21": lambda: ad.sum_all(ad.matmul(a, vec)),
         "matmul_12": lambda: ad.sum_all(ad.matmul(vec, b)),
         "matmul_nt": lambda: ad.sum_all(ad.matmul_nt(a, c)),
         "matmul_32": lambda: sq(ad.matmul(cube, b)),
@@ -237,23 +228,17 @@ def test_every_op_passes_grad_check(f64, seed):
         "softmax": lambda: ad.sum_all(ad.mul(ad.softmax(a), c)),
         "softmax_masked": lambda: ad.sum_all(
             ad.mul(ad.softmax(a, key_mask=mask), c)),
-        "layer_norm": lambda: ad.sum_all(ad.mul(ad.layer_norm(a, gain, bias), c)),
-        "mean_rows": lambda: ad.sum_all(ad.mean_rows(a)),
         "l2_norm_1d": lambda: ad.sum_all(ad.mul(ad.l2_normalize(pos), pos)),
         "l2_norm_2d": lambda: ad.sum_all(ad.mul(ad.l2_normalize(a), c)),
         "concat": lambda: ad.sum_all(ad.mul(ad.concat([a, c], dim=1),
                                             ad.concat([c, a], dim=1))),
-        "stack_rows": lambda: ad.sum_all(ad.mul(ad.stack_rows([vec, vec]),
-                                                ad.stack_rows([vec, vec]))),
-        "slice_rows": lambda: ad.sum_all(ad.slice_rows(a, 0, 1)),
-        "row": lambda: ad.sum_all(ad.row(a, 1)),
         "reshape": lambda: ad.sum_all(ad.mul(ad.reshape(a, (3, 2)), b)),
         "flatten": lambda: ad.sum_all(ad.flatten(a)),
         "embed": lambda: ad.sum_all(ad.embed(a, [0, 1, 0])),
         "embed_2d": lambda: sq(ad.embed(a, [[0, 1], [1, 1]])),
     }
     for name, f in cases.items():
-        report = ad.grad_check(f, [a, b, c, vec, pos, gain, bias, cube, cube2])
+        report = ad.grad_check(f, [a, b, c, vec, pos, cube, cube2])
         assert report.ok, f"{name} (seed {seed}): {report}"
 
 

@@ -1,9 +1,10 @@
 """Batched forward against the per-record reference, in f64.
 
-``forward_batch``, ``total_loss`` and the batched ``encode_batch`` must
-compute what the per-record path in ``per_record.py`` computes, up to the
-order of floating-point sums: outputs, losses and every parameter gradient
-agree to 1e-10.
+``forward_batch``, ``total_loss``, the batched ``encode_batch`` and the
+score-matrix ``contrastive_loss`` must compute what the per-record path and
+the per-pair loop in ``per_record.py`` compute, up to the order of
+floating-point sums: outputs, losses and every parameter gradient agree to
+1e-10.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from hmlc import autodiff as ad
-from hmlc import contrastive as ct
 from hmlc.contrastive import HmclConfig, contrastive_loss, encode_batch, init_projection
 from hmlc.corpus import Corpus, Record
 from hmlc.encoder import EncoderConfig, tokenize
@@ -95,29 +95,50 @@ def test_total_loss_and_gradients_match_per_record(setup, lambda_reg):
     _assert_grads_match(got_grads, want_grads)
 
 
-def test_contrastive_loss_and_gradients_match_per_record(setup, monkeypatch):
+def _contrastive_parity(model, corpus, cfg, anchors, seed):
+    head = init_projection(np.random.default_rng(13), len(ENC.fields) * ENC.d, 8, 4)
+    batch = build_batch(corpus, anchors, cfg.repeats_per_level, cfg.strategy,
+                        np.random.default_rng(seed))
+    params = {**model.encoder.named("encoder"), **head.named()}
+    rows = encode_batch(batch, corpus, model.encoder, head)
+    want_rows = per_record.encode_batch(batch, corpus, model.encoder, head)
+    assert list(want_rows) == batch.record_indices()
+    np.testing.assert_allclose(rows.data, np.stack([r.data for r in want_rows.values()]),
+                               rtol=0, atol=TOL)
+    got, got_grads = _loss_and_grads(
+        params, lambda: contrastive_loss(batch, corpus, model.encoder, head, cfg))
+    want, want_grads = _loss_and_grads(
+        params, lambda: per_record.contrastive_loss(batch, corpus, model.encoder, head, cfg))
+    assert got == pytest.approx(want, rel=0, abs=TOL)
+    _assert_grads_match(got_grads, want_grads)
+    return batch
+
+
+def test_contrastive_loss_and_gradients_match_per_record(setup):
     model, records = setup
     corpus = Corpus(model.hierarchy, records)
     cfg = HmclConfig(strategy="all", repeats_per_level=(1, 2, 2))
-    head = init_projection(np.random.default_rng(13), len(ENC.fields) * ENC.d, 8, 4)
-    batch = build_batch(corpus, [0, 3, 4], cfg.repeats_per_level, cfg.strategy,
-                        np.random.default_rng(14))
+    batch = _contrastive_parity(model, corpus, cfg, [0, 3, 4], seed=14)
     assert len(batch.record_indices()) > len(batch.anchors)
-    params = {**model.encoder.named("encoder"), **head.named()}
 
-    def loss():
-        return contrastive_loss(batch, corpus, model.encoder, head, cfg)
 
-    rows = encode_batch(batch, corpus, model.encoder, head)
-    got, got_grads = _loss_and_grads(params, loss)
-    monkeypatch.setattr(ct, "encode_batch", per_record.encode_batch)
-    want_rows = ct.encode_batch(batch, corpus, model.encoder, head)
-    want, want_grads = _loss_and_grads(params, loss)
-    assert rows.keys() == want_rows.keys()
-    for i in rows:
-        np.testing.assert_allclose(rows[i].data, want_rows[i].data, rtol=0, atol=TOL)
-    assert got == pytest.approx(want, rel=0, abs=TOL)
-    _assert_grads_match(got_grads, want_grads)
+def _has_repeated_draw(batch):
+    return any(len(set(ids)) < len(ids)
+               for per_anchor in batch.draws for ld in per_anchor
+               for ids in (ld.positives, ld.negative_indices()))
+
+
+@pytest.mark.parametrize("strategy", ["all", "sibling", "level"])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_contrastive_matrix_loss_matches_per_pair_loop(setup, strategy, seed):
+    # repeated draws must add up in the weights, and the anchor "padded-short"
+    # (Finance only) has levels with no active label, which carry no weight
+    model, records = setup
+    corpus = Corpus(model.hierarchy, records)
+    cfg = HmclConfig(strategy=strategy, repeats_per_level=(2, 3, 3), contrastive_alpha=0.3)
+    batch = _contrastive_parity(model, corpus, cfg, [0, 1, 3, 4, 5], seed=seed)
+    assert _has_repeated_draw(batch)
+    assert any(ld.n_pos_labels == 0 for ld in batch.draws[0])
 
 
 def test_train_step_records_one_small_graph(demo):

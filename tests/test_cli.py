@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -281,6 +282,51 @@ def test_eval_rejects_encoder_checkpoint(ws, capsys):
                str(ws["pre"] / "encoder.ckpt")])
     assert rc == 2
     assert "not a model checkpoint" in capsys.readouterr().err
+
+
+def _reordered_hierarchy_ini(ws, tmp_path):
+    # the same taxonomy with its top-level edges declared in reverse order,
+    # which reorders the label columns
+    lines = (ws["data"] / "hierarchy.tsv").read_text().splitlines(keepends=True)
+    top = [line for line in lines if line.startswith("ROOT\t")]
+    assert len(top) > 1
+    reordered = tmp_path / "hierarchy.tsv"
+    reordered.write_text("".join(top[::-1] + [line for line in lines if line not in top]))
+    ini = tmp_path / "reordered.ini"
+    ini.write_text(ws["ini"].read_text().replace(
+        str(ws["data"] / "hierarchy.tsv"), str(reordered)))
+    return ini
+
+
+def test_eval_rejects_reordered_hierarchy(ws, tmp_path, capsys):
+    ini = _reordered_hierarchy_ini(ws, tmp_path)
+    assert load_hierarchy(tmp_path / "hierarchy.tsv").labels != \
+        load_hierarchy(ws["data"] / "hierarchy.tsv").labels
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ws["tr1"] / "model.ckpt")])
+    assert rc == 3
+    assert "hierarchy differs" in capsys.readouterr().err
+
+
+def test_sidecar_log_is_closed_and_detached(ws, tmp_path, monkeypatch):
+    opened = []
+
+    class RecordingHandler(logging.FileHandler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(logging, "FileHandler", RecordingHandler)
+    root = logging.getLogger()
+    before = list(root.handlers)
+    assert main(["gen-synthetic", "--out", str(tmp_path / "gen"), "--seed", "3",
+                 "--n-train", "4", "--n-test", "0"]) == 0
+    # a command that fails inside the sidecar block
+    assert main(["eval", "--config", str(_reordered_hierarchy_ini(ws, tmp_path)),
+                 "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+                 "--out", str(tmp_path / "ev")]) == 3
+    assert root.handlers == before
+    assert len(opened) == 2
+    assert all(h.stream is None for h in opened)  # FileHandler.close() drops the stream
 
 
 # -------------------------------------------------------------------- infer

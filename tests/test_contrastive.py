@@ -21,7 +21,7 @@ from hmlc.contrastive import (
     project_corpus,
 )
 from hmlc.corpus import Corpus
-from hmlc.encoder import EncoderConfig
+from hmlc.encoder import EncoderConfig, encode_record
 from hmlc.hierarchy import parse_hierarchy
 from hmlc.metrics import NonUnitInput
 from hmlc.model import ModelConfig, init_model
@@ -154,8 +154,7 @@ def test_loss_closed_form_orthogonal(monkeypatch, f64):
 
     eye = np.eye(len(records))
     monkeypatch.setattr(
-        ct, "encode_batch",
-        lambda b, c, e, hd: {i: ad.tensor(eye[i]) for i in b.record_indices()})
+        ct, "encode_batch", lambda b, c, e, hd: ad.tensor(eye[b.record_indices()]))
     cfg = HmclConfig(strategy="all", repeats_per_level=(1, 1))
     loss = contrastive_loss(batch, corpus, None, None, cfg)
     # anchor 0: levels contribute (1+1)/1 + (1+1)/1 = 4 log-half terms;
@@ -200,11 +199,16 @@ def test_loss_requires_active_labels():
 
 
 def test_encode_batch_covers_batch_records():
+    # one unit row per touched record, in record_indices() order
     _, corpus, model = _tiny_setup()
     head = init_projection(np.random.default_rng(9), 8, 4, 4)
     batch = build_batch(corpus, [0, 1], (1, 1), "all", np.random.default_rng(10))
-    emb = encode_batch(batch, corpus, model.encoder, head)
-    assert set(emb) == set(batch.record_indices())
+    rows = encode_batch(batch, corpus, model.encoder, head)
+    assert rows.shape == (len(batch.record_indices()), 4)
+    assert np.allclose(np.linalg.norm(rows.data, axis=1), 1.0, atol=1e-5)
+    for j, i in enumerate(batch.record_indices()):
+        single = project(encode_record(corpus.records[i], model.encoder), head)
+        assert np.allclose(rows.data[j], single.data, atol=1e-5)
 
 
 # --------------------------------------------------------------- pretrain

@@ -19,7 +19,7 @@ from hmlc.encoder import (
 from hmlc.corpus import Record
 from hmlc.nn import multihead_attention
 
-from per_record import encode_field, fuse_fields
+from per_record import encode_field, fuse_fields, stack
 
 CFG = EncoderConfig(vocab_buckets=64, d=8, heads=2, max_tokens=16,
                     fields=("name", "description", "comments"))
@@ -158,8 +158,8 @@ def test_fuse_mask_matches_physical_removal():
         for f in CFG.fields
     ]
     fused = encode_record(rec, params)
-    present_rows = ad.stack_rows([embs[0].h_field, embs[1].h_field])
-    all_rows = ad.stack_rows([e.h_field for e in embs])
+    present_rows = stack([embs[0].h_field, embs[1].h_field])
+    all_rows = stack([e.h_field for e in embs])
     reference = multihead_attention(all_rows, present_rows, present_rows,
                                     params.fuse_attn)
     assert np.allclose(fused.data, reference.data, atol=1e-6)

@@ -11,6 +11,7 @@ from hmlc import autodiff as ad
 from hmlc.corpus import Corpus
 from hmlc.encoder import EncoderConfig
 from hmlc.hierarchy import LengthMismatch, parse_hierarchy, validate_assignment
+from hmlc.metrics import micro_macro_f1
 from hmlc.model import (
     EpochStats,
     HmcnModel,
@@ -368,11 +369,15 @@ def test_train_nonfinite_raises(demo):
 
 def test_evaluate_reports(demo):
     corpus, model = _tiny(demo)
-    report, violations = evaluate(corpus, model, LossConfig())
-    assert 0.0 <= report.micro_f1 <= 1.0
-    assert violations >= 0
-    _, repaired_violations = evaluate(corpus, model, LossConfig(), repair=True)
-    assert repaired_violations == 0
+    cfg = LossConfig()
+    result = evaluate(corpus, model, cfg)
+    assert set(result) == {"raw", "repaired"}
+    for name, repair in (("raw", False), ("repaired", True)):
+        report, violations = result[name]
+        preds = np.stack([predict_labels(r, model, cfg, repair=repair) for r in corpus.records])
+        assert report.to_dict() == micro_macro_f1(corpus.label_matrix, preds).to_dict()
+        assert violations == count_violations(demo, preds)
+    assert result["repaired"][1] == 0
 
 
 def test_epoch_stats_json_round_trip():
