@@ -403,6 +403,8 @@ def l2_normalize(a: Tensor) -> Tensor:
     """Scale rows (2D) or the whole vector (1D) to unit Euclidean norm."""
     if a.ndim == 1:
         n = np.linalg.norm(a.data)
+        if n == 0:
+            raise NonFiniteValue("l2_normalize: the vector has zero norm")
         y = a.data / n
 
         def bw():
@@ -412,6 +414,10 @@ def l2_normalize(a: Tensor) -> Tensor:
 
     elif a.ndim == 2:
         n = np.linalg.norm(a.data, axis=1, keepdims=True)
+        zero = np.flatnonzero(n == 0)
+        if zero.size:
+            raise NonFiniteValue(f"l2_normalize: row {zero[0]} of {a.shape[0]} has zero norm "
+                                 f"({zero.size} such rows)")
         y = a.data / n
 
         def bw():

@@ -189,8 +189,8 @@ def cmd_pretrain(args) -> int:
         scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
         diagnostics = {
             "strategy": cfg.hmcl.strategy,
-            "steps": len(result.batch_losses),
-            "final_objective": result.batch_losses[-1] if result.batch_losses else None,
+            "steps": len(result.history),
+            "final_objective": result.history[-1].objective if result.history else None,
             "alignment_before": result.before.alignment,
             "alignment_after": result.after.alignment,
             "uniformity_before": result.before.uniformity,
@@ -204,6 +204,8 @@ def cmd_pretrain(args) -> int:
             save_checkpoint(out / "encoder.ckpt", arrays, scope_hash(scope),
                             meta={"kind": "encoder", "scope": scope})
             _write_json(out / "pretrain_diagnostics.json", diagnostics)
+            (out / "pretrain_history.jsonl").write_text(
+                "".join(s.to_json() + "\n" for s in result.history))
         else:
             print(json.dumps(diagnostics, sort_keys=True))
         log.info("pretraining finished: %s", diagnostics)

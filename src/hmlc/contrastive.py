@@ -13,7 +13,8 @@ discarded after pretraining, leaving the encoder weights for the classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -144,13 +145,33 @@ def project_corpus(corpus: Corpus, encoder: EncoderParams,
 
 
 @dataclass
+class PretrainStep:
+    """One optimizer step (numbered from 1): the minimized objective −L_cl,
+    the lr it ran at, and the sampler's skip counters over every batch drawn
+    so far, this one included."""
+    step: int
+    objective: float
+    lr: float
+    skipped_empty_space: int
+    skipped_unsatisfiable: int
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+
+@dataclass
 class PretrainResult:
     head: ProjectionHead
-    batch_losses: list[float]  # the minimized objective, −L_cl, per step
+    history: list[PretrainStep]
     before: EmbeddingDiagnostics
     after: EmbeddingDiagnostics
     skipped_empty_space: int
     skipped_unsatisfiable: int
+
+    @property
+    def batch_losses(self) -> list[float]:
+        """The minimized objective, −L_cl, per step."""
+        return [s.objective for s in self.history]
 
 
 def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResult:
@@ -167,7 +188,7 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
                                    h, seed=cfg.seed)
     state = AdamState()
     lr = cfg.lr
-    losses: list[float] = []
+    history: list[PretrainStep] = []
     skipped_empty = 0
     skipped_unsat = 0
     done = 0
@@ -194,13 +215,13 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
                 continue
             except ad.NonFiniteValue as e:
                 raise NonFiniteLoss(f"non-finite contrastive loss at step {done}: {e}") from e
-            losses.append(objective.item())
             adam_step(params, state, lr)
             done += 1
+            history.append(PretrainStep(done, objective.item(), lr, skipped_empty, skipped_unsat))
             if done % cfg.decay_every_batches == 0:
                 lr *= cfg.lr_decay
     after = embedding_diagnostics(corpus, project_corpus(corpus, encoder, head),
                                   h, seed=cfg.seed)
-    return PretrainResult(head=head, batch_losses=losses, before=before, after=after,
+    return PretrainResult(head=head, history=history, before=before, after=after,
                           skipped_empty_space=skipped_empty,
                           skipped_unsatisfiable=skipped_unsat)

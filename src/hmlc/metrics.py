@@ -167,6 +167,10 @@ def _require_unit(emb: np.ndarray, tol: float = 1e-4) -> np.ndarray:
     return emb
 
 
+# rows of the similarity matrix the exact uniformity holds at a time
+_UNIFORMITY_BLOCK = 256
+
+
 def uniformity(embeddings, tau: float = 2.0, max_exact: int = 2048,
                mc_pairs: int = 500_000, seed: int = 0) -> float:
     """log mean over distinct pairs of exp{τ(s_x·s_y − 1)}. All unordered
@@ -178,16 +182,22 @@ def uniformity(embeddings, tau: float = 2.0, max_exact: int = 2048,
     if tau <= 0:
         raise MetricsError("tau must be positive")
     if n <= max_exact:
-        gram = emb @ emb.T
-        iu = np.triu_indices(n, k=1)
-        sims = gram[iu]
+        # rows lo:hi against columns lo:, so only the strict upper triangle
+        # of the similarity matrix is summed and no n×n array is built
+        total = 0.0
+        for lo in range(0, n, _UNIFORMITY_BLOCK):
+            hi = min(lo + _UNIFORMITY_BLOCK, n)
+            kernel = np.exp(tau * (emb[lo:hi] @ emb[lo:].T - 1.0))
+            total += np.triu(kernel[:, :hi - lo], k=1).sum() + kernel[:, hi - lo:].sum()
+        mean = total / (n * (n - 1) // 2)
     else:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, n, size=mc_pairs)
         b = rng.integers(0, n - 1, size=mc_pairs)
         b = np.where(b >= a, b + 1, b)  # distinct partner
         sims = np.einsum("ij,ij->i", emb[a], emb[b])
-    return float(np.log(np.mean(np.exp(tau * (sims - 1.0)))))
+        mean = np.mean(np.exp(tau * (sims - 1.0)))
+    return float(np.log(mean))
 
 
 def _level_pair(rng, by_label_rows: list[np.ndarray]):

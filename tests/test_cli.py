@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 from hmlc import autodiff as ad
+from hmlc import contrastive
 from hmlc.checkpoint import load_checkpoint
-from hmlc.cli import _build_model, _restore_model, main
+from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, main
 from hmlc.config import load_run_config
 from hmlc.hierarchy import load_hierarchy
 from hmlc.corpus import load_corpus
@@ -141,6 +143,43 @@ def test_pretrain_artifacts(ws):
     config = json.loads((pre / "config.json").read_text())
     assert (pre / "run.log").exists()
     assert config["config"]["seed"] == 5
+
+
+def test_pretrain_history_one_line_per_step(ws):
+    pre = ws["pre"]
+    diag = json.loads((pre / "pretrain_diagnostics.json").read_text())
+    steps = [json.loads(line)
+             for line in (pre / "pretrain_history.jsonl").read_text().splitlines()]
+    assert len(steps) == diag["steps"]
+    for number, step in enumerate(steps, start=1):
+        assert set(step) == {"step", "objective", "lr",
+                             "skipped_empty_space", "skipped_unsatisfiable"}
+        assert step["step"] == number
+        assert step["lr"] == 0.001
+    assert steps[-1]["objective"] == diag["final_objective"]
+    for key in ("skipped_empty_space", "skipped_unsatisfiable"):
+        counts = [step[key] for step in steps]
+        assert counts == sorted(counts) and counts[-1] <= diag[key]
+
+
+def test_pretrain_dead_projection_head_exits_numeric(ws, tmp_path, monkeypatch, capsys):
+    # every hidden ReLU of the head off: each record projects to the zero vector
+    fresh = contrastive.init_projection
+
+    def dead_head(rng, in_dim, hidden, out_dim):
+        head = fresh(rng, in_dim, hidden, out_dim)
+        head.mlp.weights[0].data[...] = 0.0
+        head.mlp.biases[0].data[...] = -1.0
+        return head
+
+    monkeypatch.setattr(contrastive, "init_projection", dead_head)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pretrain", "--config", str(ws["ini"]), "--out", str(tmp_path / "pre")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "l2_normalize" in err and "zero norm" in err
+    assert "Traceback" not in err
 
 
 def test_pretrain_stdout_mode(ws, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ def test_encode_batch_covers_batch_records():
     for j, i in enumerate(batch.record_indices()):
         single = project(encode_record(corpus.records[i], model.encoder), head)
         assert np.allclose(rows.data[j], single.data, atol=1e-5)
+
+
+def test_zero_projection_names_l2_normalize_and_row():
+    # zeroed first-layer weights and a negative bias switch every hidden ReLU
+    # off, so the head maps each record to the exact zero vector
+    _, corpus, model = _tiny_setup()
+    head = init_projection(np.random.default_rng(9), 8, 4, 4)
+    head.mlp.weights[0].data[...] = 0.0
+    head.mlp.biases[0].data[...] = -1.0
+    batch = build_batch(corpus, [0, 1], (1, 1), "all", np.random.default_rng(10))
+    n_rows = len(batch.record_indices())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NonFiniteValue,
+                           match=rf"l2_normalize: row 0 of {n_rows} has zero norm \({n_rows} such"):
+            encode_batch(batch, corpus, model.encoder, head)
+        with pytest.raises(ad.NonFiniteValue, match="l2_normalize: the vector has zero norm"):
+            project_corpus(corpus, model.encoder, head)
 
 
 # --------------------------------------------------------------- pretrain

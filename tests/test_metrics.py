@@ -12,6 +12,7 @@ from hmlc.autodiff import ShapeMismatch
 from hmlc.corpus import Corpus
 from hmlc.hierarchy import parse_hierarchy
 from hmlc.metrics import (
+    _UNIFORMITY_BLOCK,
     EmptyInput,
     MetricsError,
     NonUnitInput,
@@ -281,3 +282,24 @@ def test_embedding_diagnostics_bundle():
     assert diag.alignment == pytest.approx(alignment(corpus, emb, h, seed=0))
     assert diag.to_dict() == {
         "uniformity": diag.uniformity, "alignment": diag.alignment, "tau": 2.0}
+
+
+def reference_uniformity(emb, tau):
+    """The exact path the blocked sum replaced: the whole Gram matrix and its
+    strict upper triangle; kept as the reference."""
+    gram = emb @ emb.T
+    sims = gram[np.triu_indices(emb.shape[0], k=1)]
+    return float(np.log(np.mean(np.exp(tau * (sims - 1.0)))))
+
+
+@pytest.mark.parametrize("n", [2, 3, _UNIFORMITY_BLOCK - 1, _UNIFORMITY_BLOCK,
+                               _UNIFORMITY_BLOCK + 1, 2048])
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+def test_blocked_uniformity_matches_gram_triangle(n, tau):
+    rng = np.random.default_rng(n)
+    emb = rng.normal(size=(n, 6))
+    # a few duplicated and antipodal rows put weight near both ends of the kernel
+    emb[n // 2] = emb[0]
+    emb[-1] = -emb[0]
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    assert uniformity(emb, tau=tau) == pytest.approx(reference_uniformity(emb, tau), abs=1e-12)
