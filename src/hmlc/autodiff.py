@@ -11,6 +11,7 @@ otherwise; numerical trouble is an error state here, never a silent NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,7 @@ def zero_grads(tensors) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for (..., k) @ (k, n), a batch of matrices
-    (B, r, k) @ (B, k, s), and the 1D case (k,) @ (k, n)."""
+    """Matrix product for (..., k) @ (k, n) and the 1D case (k,) @ (k, n)."""
     if a.ndim >= 2 and b.ndim == 2:
         # one GEMM over every leading row; 2D @ 2D is the case with none
         k, n = b.shape
@@ -163,17 +163,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 g2 = g.reshape(-1, n)
                 _accum(a, (g2 @ b.data.T).reshape(a.shape))
                 _accum(b, a2.T @ g2)
-            return fn
-
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-        data = a.data @ b.data
-
-        def bw():
-            def fn(g):
-                _accum(a, g @ b.data.transpose(0, 2, 1))
-                _accum(b, a.data.transpose(0, 2, 1) @ g)
             return fn
 
     elif a.ndim == 1 and b.ndim == 2:
@@ -193,17 +182,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for 2D operands, or per matrix for batches (B, r, k) and
-    (B, s, k) (attention score shortcut)."""
-    if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] \
-            or a.shape[-1] != b.shape[-1]:
+    """a @ b.T for 2D operands."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
-    data = a.data @ np.swapaxes(b.data, -1, -2)
+    data = a.data @ b.data.T
 
     def bw():
         def fn(g):
             _accum(a, g @ b.data)
-            _accum(b, np.swapaxes(g, -1, -2) @ a.data)
+            _accum(b, g.T @ a.data)
         return fn
 
     return _emit(data, bw)
@@ -370,33 +357,85 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(data, bw)
 
 
-def softmax(a: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis of a 2D (r, s) or 3D (B, r, s) tensor.
-    ``key_mask`` (bool, (s,) or (B, s)) restricts each distribution to the
-    valid columns of its matrix; masked columns get probability exactly 0,
-    matching physical removal of those columns."""
-    if a.ndim not in (2, 3):
-        raise ShapeMismatch(f"softmax expects 2D or 3D rows, got {a.shape}")
-    if key_mask is None:
-        x = a.data - a.data.max(axis=-1, keepdims=True)
-        e = np.exp(x)
-    else:
+def attention(q: Tensor, k: Tensor, v: Tensor, wq: list[Tensor], wk: list[Tensor],
+              wv: list[Tensor], wo: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op (Vaswani et al., 2017).
+
+    ``q`` is (r, d), ``k`` and ``v`` are (s, d); a leading batch axis
+    (B, r, d) and (B, s, d) attends each of B matrices on its own. Head h
+    projects with ``wq[h]``, ``wk[h]``, ``wv[h]`` (each (d, dh)); the heads'
+    outputs are joined by column and mapped by ``wo`` ((H·dh, d_out)).
+    ``key_mask`` (bool, (s,) or (B, s)) marks the keys each matrix may attend
+    to; masked keys get weight exactly 0, as if their rows were removed."""
+    if q.ndim not in (2, 3) or k.ndim != q.ndim or v.ndim != q.ndim:
+        raise ShapeMismatch("attention operands must all be 2D or all be 3D")
+    if q.shape[:-2] != k.shape[:-2] or k.shape[:-2] != v.shape[:-2]:
+        raise ShapeMismatch(f"attention batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[-1]
+    if k.shape[-1] != d or v.shape[-1] != d:
+        raise ShapeMismatch(f"attention widths differ: {q.shape}, {k.shape}, {v.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatch(f"key/value row counts differ: {k.shape} vs {v.shape}")
+    heads = len(wq)
+    if not heads or len(wk) != heads or len(wv) != heads:
+        raise ShapeMismatch(f"attention needs one q, k and v weight per head, got "
+                            f"{len(wq)}, {len(wk)}, {len(wv)}")
+    dh = wq[0].shape[-1]
+    if any(w.shape != (d, dh) for w in (*wq, *wk, *wv)) or wo.ndim != 2 \
+            or wo.shape[0] != heads * dh:
+        raise ShapeMismatch(f"attention weights do not fit {heads} heads of width {dh} "
+                            f"over inputs of width {d}")
+    r, s = q.shape[-2], k.shape[-2]
+    if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
-        if key_mask.shape != a.shape[:-2] + a.shape[-1:]:
-            raise ShapeMismatch(f"key_mask shape {key_mask.shape} vs scores {a.shape}")
+        if key_mask.shape != q.shape[:-2] + (s,):
+            raise ShapeMismatch(f"key_mask shape {key_mask.shape} vs keys {k.shape}")
         if not key_mask.any(axis=-1).all():
-            raise ShapeMismatch("softmax with all columns masked")
-        keep = key_mask[..., None, :]
-        x = a.data - np.where(keep, a.data, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(keep, x, -np.inf))
-    p = e / e.sum(axis=-1, keepdims=True)
+            raise ShapeMismatch("attention with all keys masked")
+    n = q.shape[0] if q.ndim == 3 else 1
+    q2, k2, v2 = (x.data.reshape(-1, d) for x in (q, k, v))
+
+    def split(x, rows):  # (n·rows, H·dh) -> (n, H, rows, dh)
+        return x.reshape(n, rows, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (n, H, rows, dh) -> (n·rows, H·dh)
+        return x.transpose(0, 2, 1, 3).reshape(-1, heads * dh)
+
+    wq_all, wk_all, wv_all = (np.concatenate([w.data for w in ws], axis=1)
+                              for ws in (wq, wk, wv))
+    qh, kh, vh = split(q2 @ wq_all, r), split(k2 @ wk_all, s), split(v2 @ wv_all, s)
+    # a Python float keeps f32 scores f32 (an np.float64 scalar would promote them)
+    c = 1.0 / math.sqrt(dh)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= c
+    if key_mask is not None:
+        # out of every row's max, and exp(-inf) is exactly 0
+        np.copyto(scores, -np.inf, where=~key_mask.reshape(n, 1, 1, s))
+    scores -= scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores, out=scores)
+    p /= p.sum(axis=-1, keepdims=True)
+    merged = merge(p @ vh)
+    data = (merged @ wo.data).reshape(q.shape[:-1] + (wo.shape[1],))
 
     def bw():
         def fn(g):
-            _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+            g2 = g.reshape(-1, wo.shape[1])
+            _accum(wo, merged.T @ g2)
+            g_heads = split(g2 @ wo.data.T, r)
+            g_p = g_heads @ vh.transpose(0, 1, 3, 2)
+            g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+            for x, x2, w_all, ws, gh in (
+                    (q, q2, wq_all, wq, g_scores @ kh),
+                    (k, k2, wk_all, wk, g_scores.transpose(0, 1, 3, 2) @ qh),
+                    (v, v2, wv_all, wv, p.transpose(0, 1, 3, 2) @ g_heads)):
+                gh = merge(gh)
+                g_w = x2.T @ gh
+                for h, w in enumerate(ws):
+                    _accum(w, g_w[:, h * dh:(h + 1) * dh])
+                _accum(x, (gh @ w_all.T).reshape(x.shape))
         return fn
 
-    return _emit(p, bw)
+    return _emit(data, bw)
 
 
 def l2_normalize(a: Tensor) -> Tensor:

@@ -127,12 +127,17 @@ def _assign_arrays(params: dict, arrays: dict, where: str) -> None:
         params[name].data = arr.astype(ad.default_dtype(), copy=True)
 
 
-def _restore_model(ckpt_path: str) -> tuple[HmcnModel, dict]:
-    """Rebuild a model purely from a checkpoint's stored scope."""
+def _restore_model(ckpt_path: str, precision: str | None = None) -> tuple[HmcnModel, dict]:
+    """Rebuild a model purely from a checkpoint's stored scope. A model runs
+    at the precision it was trained at: a requested ``precision`` that
+    differs is a mismatch."""
     arrays, header = load_checkpoint(ckpt_path)
     scope = header["meta"].get("scope")
     if header["meta"].get("kind") != "model" or scope is None:
         raise CheckpointError(f"{ckpt_path}: not a model checkpoint")
+    if precision is not None and precision != scope["precision"]:
+        raise ConfigHashMismatch(f"{ckpt_path}: --precision {precision} differs from the "
+                                 f"checkpoint's precision {scope['precision']}")
     ad.set_default_dtype(scope["precision"])
     h = parse_hierarchy([tuple(e) for e in scope["hierarchy"]])
     enc = dict(scope["encoder"])
@@ -254,7 +259,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _header = _restore_model(args.checkpoint)
+    model, _header = _restore_model(args.checkpoint, args.precision)
     cfg = load_run_config(args.config, _overrides(args))
     out = _out_dir(args.out or cfg.out)
     with _sidecar(out):
@@ -278,7 +283,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    model, _header = _restore_model(args.checkpoint)
+    model, _header = _restore_model(args.checkpoint, args.precision)
     h = model.hierarchy
     loss_cfg = LossConfig(threshold=args.threshold)
     out = _out_dir(args.out)

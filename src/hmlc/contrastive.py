@@ -138,10 +138,15 @@ def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderPa
 
 def project_corpus(corpus: Corpus, encoder: EncoderParams,
                    head: ProjectionHead) -> np.ndarray:
-    """Projected unit embedding per record, forward-only."""
-    return np.stack([
-        project(encode_record(r, encoder), head).data for r in corpus.records
-    ])
+    """Projected unit embedding per record, forward-only. A record the head
+    maps to the zero vector is named in the ``NonFiniteValue`` raised."""
+    rows = []
+    for i, r in enumerate(corpus.records):
+        try:
+            rows.append(project(encode_record(r, encoder), head).data)
+        except ad.NonFiniteValue as e:
+            raise ad.NonFiniteValue(f"record {i} (id {r.id!r}): {e}") from e
+    return np.stack(rows)
 
 
 @dataclass

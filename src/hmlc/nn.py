@@ -15,13 +15,10 @@ from .autodiff import (
     ShapeMismatch,
     Tensor,
     add,
-    concat,
+    attention,
     default_dtype,
     matmul,
-    matmul_nt,
     relu,
-    scale,
-    softmax,
     tanh,
     tensor,
 )
@@ -114,7 +111,8 @@ def multihead_attention(
     p: AttentionParams,
     key_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention with per-head projections.
+    """Scaled dot-product attention with per-head projections, as one
+    ``attention`` tape op.
 
     ``q`` is (r, d); ``k`` and ``v`` are (s, d) with matching s. A leading
     batch axis attends each of B matrices independently: ``q`` (B, r, d),
@@ -122,23 +120,4 @@ def multihead_attention(
     (s,) or (B, s), marks which key rows may be attended to; masked keys
     receive exactly zero weight.
     """
-    if q.ndim not in (2, 3) or k.ndim != q.ndim or v.ndim != q.ndim:
-        raise ShapeMismatch("attention operands must all be 2D or all be 3D")
-    if q.shape[:-2] != k.shape[:-2] or k.shape[:-2] != v.shape[:-2]:
-        raise ShapeMismatch(f"attention batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
-    d = q.shape[-1]
-    if k.shape[-1] != d or v.shape[-1] != d:
-        raise ShapeMismatch(f"attention widths differ: {q.shape}, {k.shape}, {v.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeMismatch(f"key/value row counts differ: {k.shape} vs {v.shape}")
-    dh = d // p.heads
-    outs = []
-    for h in range(p.heads):
-        qh = matmul(q, p.wq[h])
-        kh = matmul(k, p.wk[h])
-        vh = matmul(v, p.wv[h])
-        scores = scale(matmul_nt(qh, kh), 1.0 / math.sqrt(dh))
-        attn = softmax(scores, key_mask=key_mask)
-        outs.append(matmul(attn, vh))
-    merged = outs[0] if len(outs) == 1 else concat(outs, dim=-1)
-    return matmul(merged, p.wo)
+    return attention(q, k, v, p.wq, p.wk, p.wv, p.wo, key_mask=key_mask)

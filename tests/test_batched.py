@@ -150,3 +150,40 @@ def test_train_step_records_one_small_graph(demo):
             total_loss(_records(demo)[:n], model, LossConfig())
         sizes.append(len(tape.nodes))
     assert sizes[0] == sizes[1] < 200
+
+
+def _tape_dtypes(params, loss_fn):
+    """The dtype of every tape node's output and gradient and of every
+    parameter gradient after one backward pass."""
+    ad.zero_grads(params)
+    with ad.Tape() as tape:
+        tape.backward(loss_fn())
+    dtypes = {}
+    for i, (out, _) in enumerate(tape.nodes):
+        dtypes[f"node {i} output"] = out.data.dtype
+        if out.grad is not None:
+            dtypes[f"node {i} grad"] = out.grad.dtype
+    dtypes.update({name: t.grad.dtype for name, t in params.items() if t.grad is not None})
+    ad.zero_grads(params)
+    return dtypes
+
+
+def test_f32_steps_stay_f32(demo):
+    # a float64 scalar anywhere in an op would promote f32 arrays to f64 under NEP 50
+    model = init_model(np.random.default_rng(11), demo, CFG)
+    records = _records(demo)
+    corpus = Corpus(demo, records)
+    head = init_projection(np.random.default_rng(13), len(ENC.fields) * ENC.d, 8, 4)
+    cfg = HmclConfig(strategy="all", repeats_per_level=(1, 2, 2))
+    batch = build_batch(corpus, [0, 3, 4], cfg.repeats_per_level, cfg.strategy,
+                        np.random.default_rng(14))
+    steps = {
+        "total_loss": (model.named(), lambda: total_loss(records, model, LossConfig())),
+        "contrastive_loss": ({**model.encoder.named("encoder"), **head.named()},
+                             lambda: contrastive_loss(batch, corpus, model.encoder, head, cfg)),
+    }
+    for step, (params, loss_fn) in steps.items():
+        dtypes = _tape_dtypes(params, loss_fn)
+        assert sum(name in dtypes for name in params) == len(params), step
+        wrong = {name: dt for name, dt in dtypes.items() if dt != np.float32}
+        assert not wrong, f"{step}: {wrong}"

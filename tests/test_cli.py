@@ -179,6 +179,9 @@ def test_pretrain_dead_projection_head_exits_numeric(ws, tmp_path, monkeypatch, 
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "l2_normalize" in err and "zero norm" in err
+    # the before-diagnostics project record 0 first; the message names it
+    first = load_corpus(ws["data"] / "train.jsonl", load_hierarchy(ws["data"] / "hierarchy.tsv"))
+    assert f"record 0 (id {first.records[0].id!r})" in err
     assert "Traceback" not in err
 
 
@@ -346,6 +349,15 @@ def test_eval_rejects_reordered_hierarchy(ws, tmp_path, capsys):
     assert "hierarchy differs" in capsys.readouterr().err
 
 
+def test_eval_precision_mismatch(ws, capsys):
+    ckpt = str(ws["tr1"] / "model.ckpt")  # trained in f32
+    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
+                 "--precision", "f64"]) == 3
+    assert "--precision f64 differs" in capsys.readouterr().err
+    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
+                 "--precision", "f32"]) == 0
+
+
 def test_sidecar_log_is_closed_and_detached(ws, tmp_path, monkeypatch):
     opened = []
 
@@ -390,6 +402,16 @@ def test_infer_predictions(ws, tmp_path):
             assert obj["scores"][v] >= 0.5
     assert (out1 / "predictions.jsonl").read_bytes() == \
         (out2 / "predictions.jsonl").read_bytes()
+
+
+def test_infer_precision_mismatch(ws, tmp_path, capsys):
+    args = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+            "--input", str(ws["data"] / "test.jsonl")]
+    assert main(args + ["--out", str(tmp_path / "f64"), "--precision", "f64"]) == 3
+    assert "--precision f64 differs" in capsys.readouterr().err
+    assert not (tmp_path / "f64").exists()
+    assert main(args + ["--out", str(tmp_path / "f32"), "--precision", "f32"]) == 0
+    assert len((tmp_path / "f32" / "predictions.jsonl").read_text().splitlines()) == 16
 
 
 def test_infer_threshold_monotonicity(ws, capsys):

@@ -7,13 +7,14 @@ import pytest
 
 from hmlc import autodiff as ad
 from hmlc.nn import (
-    AttentionParams,
     MlpParams,
     init_attention,
     init_mlp,
     mlp_forward,
     multihead_attention,
 )
+
+import per_head
 
 
 def _identity_mlp(d):
@@ -163,3 +164,43 @@ def test_batched_attention_matches_each_matrix():
         kv_i = ad.tensor(kv[i][mask[i]])
         one = multihead_attention(ad.tensor(q[i]), kv_i, kv_i, p)
         assert np.allclose(batched.data[i], one.data, atol=1e-6)
+
+
+def _attention_value_and_grads(attend, q, k, v, p, mask, w):
+    params = [q, k, v, *p.wq, *p.wk, *p.wv, p.wo]
+    ad.zero_grads(params)
+    with ad.Tape() as tape:
+        y = attend(q, k, v, p, key_mask=mask)
+        tape.backward(ad.sum_all(ad.mul(y, w)))
+    grads = [t.grad.copy() for t in params]
+    ad.zero_grads(params)
+    return y.data, grads, len(tape.nodes)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("keys", [1, 5])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shared", ["kv", "qkv", "none"])
+def test_attention_op_matches_per_head(f64, heads, batch, keys, masked, shared):
+    # one op against seven nodes per head: values and every gradient, 2D and
+    # batched, with padded (masked) key rows and a single key
+    rng = np.random.default_rng(heads + 10 * keys + 100 * len(batch))
+    p = init_attention(rng, 8, heads)
+    k = ad.tensor(rng.normal(size=batch + (keys, 8)))
+    v = k if shared != "none" else ad.tensor(rng.normal(size=batch + (keys, 8)))
+    q = k if shared == "qkv" else ad.tensor(rng.normal(size=batch + (3, 8)))
+    mask = None
+    if masked:
+        mask = np.ones(batch + (keys,), dtype=bool)
+        mask[..., 1:] = rng.random(batch + (keys - 1,)) < 0.5
+        if keys > 1:
+            mask[..., -1] = False  # padding at the end of every matrix
+    w = ad.const(rng.normal(size=q.shape))
+    got, got_grads, nodes = _attention_value_and_grads(multihead_attention, q, k, v, p, mask, w)
+    want, want_grads, _ = _attention_value_and_grads(
+        per_head.multihead_attention, q, k, v, p, mask, w)
+    assert nodes == 3  # attention, mul, sum_all
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    for g, ref in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10)
