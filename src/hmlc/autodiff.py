@@ -524,7 +524,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 def embed(table: Tensor, ids) -> Tensor:
     """Gather table rows for an id array of any shape: the result has shape
-    ``ids.shape + (d,)``. Backward scatter-adds into the table."""
+    ``ids.shape + (d,)``. Backward scatter-adds into the table, as one
+    scatter over the flat gradient: element (i, j) is at ``i·d + j``."""
     ids = np.asarray(ids, dtype=np.intp)
     if table.ndim != 2:
         raise ShapeMismatch(f"embed table must be 2D, got {table.shape}")
@@ -536,9 +537,12 @@ def embed(table: Tensor, ids) -> Tensor:
         def fn(g):
             if table.constant:
                 return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+            grad = np.zeros(table.shape, table.data.dtype) if table.grad is None else table.grad
+            # the flat view below must alias the gradient it adds into
+            table.grad = grad = np.ascontiguousarray(grad)
+            d = table.shape[1]
+            np.add.at(grad.reshape(-1), (ids[..., None] * d + np.arange(d)).reshape(-1),
+                      g.reshape(-1))
         return fn
 
     return _emit(data, bw)

@@ -79,21 +79,26 @@ def load_checkpoint(path, expect_config_hash: str | None = None):
         if hdr_len > os.fstat(f.fileno()).st_size - f.tell():
             raise CheckpointError(f"{path}: header length {hdr_len} runs past the end of the file")
         header = json.loads(f.read(hdr_len).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("format_version") != _FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported format version {header.get('format_version')!r}")
-        if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
+        if expect_config_hash is not None and header.get("config_hash") != expect_config_hash:
             raise ConfigHashMismatch(
                 f"{path}: checkpoint was written under a different configuration "
-                f"({header['config_hash'][:12]}… vs expected {expect_config_hash[:12]}…)")
+                f"({str(header.get('config_hash'))[:12]}… vs expected {expect_config_hash[:12]}…)")
         payload = f.read()
     arrays = {}
-    for ent in header["arrays"]:
-        dtype = _DTYPE_CODES.get(ent["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: unsupported dtype {ent['dtype']!r}")
-        raw = payload[ent["offset"]:ent["offset"] + ent["nbytes"]]
-        if len(raw) != ent["nbytes"]:
-            raise CheckpointError(f"{path}: truncated array {ent['name']!r}")
-        arrays[ent["name"]] = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"]).copy()
+    try:
+        for ent in header["arrays"]:
+            dtype = _DTYPE_CODES.get(ent["dtype"])
+            if dtype is None:
+                raise CheckpointError(f"{path}: unsupported dtype {ent['dtype']!r}")
+            raw = payload[ent["offset"]:ent["offset"] + ent["nbytes"]]
+            if len(raw) != ent["nbytes"]:
+                raise CheckpointError(f"{path}: truncated array {ent['name']!r}")
+            arrays[ent["name"]] = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"]).copy()
+    except (KeyError, TypeError) as e:  # a field missing or of the wrong type
+        raise CheckpointError(f"{path}: malformed array table ({e!r})") from e
     return arrays, header

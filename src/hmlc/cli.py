@@ -132,17 +132,20 @@ def _restore_model(ckpt_path: str, precision: str | None = None) -> tuple[HmcnMo
     at the precision it was trained at: a requested ``precision`` that
     differs is a mismatch."""
     arrays, header = load_checkpoint(ckpt_path)
-    scope = header["meta"].get("scope")
-    if header["meta"].get("kind") != "model" or scope is None:
-        raise CheckpointError(f"{ckpt_path}: not a model checkpoint")
-    if precision is not None and precision != scope["precision"]:
-        raise ConfigHashMismatch(f"{ckpt_path}: --precision {precision} differs from the "
-                                 f"checkpoint's precision {scope['precision']}")
-    ad.set_default_dtype(scope["precision"])
-    h = parse_hierarchy([tuple(e) for e in scope["hierarchy"]])
-    enc = dict(scope["encoder"])
-    enc["fields"] = tuple(enc["fields"])
-    model_cfg = ModelConfig(encoder=EncoderConfig(**enc), **scope["model"])
+    try:
+        scope = header["meta"].get("scope")
+        if header["meta"].get("kind") != "model" or scope is None:
+            raise CheckpointError(f"{ckpt_path}: not a model checkpoint")
+        if precision is not None and precision != scope["precision"]:
+            raise ConfigHashMismatch(f"{ckpt_path}: precision {precision} differs from the "
+                                     f"checkpoint's precision {scope['precision']}")
+        ad.set_default_dtype(scope["precision"])
+        h = parse_hierarchy([tuple(e) for e in scope["hierarchy"]])
+        enc = dict(scope["encoder"])
+        enc["fields"] = tuple(enc["fields"])
+        model_cfg = ModelConfig(encoder=EncoderConfig(**enc), **scope["model"])
+    except (KeyError, TypeError, AttributeError) as e:  # a field missing or of the wrong type
+        raise CheckpointError(f"{ckpt_path}: malformed model scope ({e!r})") from e
     model = init_model(np.random.default_rng(0), h, model_cfg)
     _assign_arrays(model.named(), arrays, ckpt_path)
     return model, header
@@ -259,8 +262,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _header = _restore_model(args.checkpoint, args.precision)
     cfg = load_run_config(args.config, _overrides(args))
+    model, _header = _restore_model(args.checkpoint, cfg.precision if cfg.precision_given else None)
     out = _out_dir(args.out or cfg.out)
     with _sidecar(out):
         h, corpus = _load_inputs(cfg, args.split, repair=args.repair)

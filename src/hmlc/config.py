@@ -41,6 +41,7 @@ class RunConfig:
     seed: int
     precision: str = "f32"
     out: str | None = None
+    precision_given: bool = False  # set by a flag or the INI; not in effective_dict
 
 
 def component_seeds(seed: int) -> dict[str, int]:
@@ -115,7 +116,8 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         seed = _take(run, "seed", int, None)
     if seed is None:
         raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
-    precision = overrides.get("precision") or _take(run, "precision", str, "f32")
+    given = overrides.get("precision") or _take(run, "precision", str, None)
+    precision = given or "f32"
     if precision not in PRECISIONS:
         raise ConfigError(f"precision must be one of {PRECISIONS}, got {precision!r}")
     out = overrides.get("out") or _take(run, "out", str, None)
@@ -162,12 +164,14 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         precision=precision,
         out=out,
+        precision_given=given is not None,
     )
 
 
 def effective_dict(cfg: RunConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["model"].pop("encoder")  # nested duplicate of the top-level encoder block
+    d.pop("precision_given")
     return d
 
 

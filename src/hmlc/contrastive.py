@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import EncoderParams, encode_record, encode_records
-from .metrics import EmbeddingDiagnostics, NonUnitInput, embedding_diagnostics
+from .encoder import EncoderParams, encode_ids, encode_record, token_ids
+from .metrics import EmbeddingDiagnostics, embedding_diagnostics
 from .model import HmcnModel, NonFiniteLoss
 from .nn import MlpParams, init_mlp, mlp_forward
 from .optim import AdamState, adam_step
@@ -76,56 +76,49 @@ def project(h_0: Tensor, head: ProjectionHead) -> Tensor:
     return ad.l2_normalize(mlp_forward(ad.reshape(h_0, h_0.shape[:-2] + (-1,)), head.mlp))
 
 
-def pair_probability(s, s_prime, polarity: str, alpha: float = 0.1) -> float:
-    """σ(s·s'/α) for a positive pair, 1−σ(s·s'/α) for a negative one."""
-    s = np.asarray(s, dtype=float)
-    s_prime = np.asarray(s_prime, dtype=float)
-    for vec in (s, s_prime):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-4:
-            raise NonUnitInput(f"pair_probability input norm {np.linalg.norm(vec):.6f}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    z = float(s @ s_prime) / alpha
-    if polarity == "positive":
-        return float(np.exp(-np.logaddexp(0.0, -z)))
-    if polarity == "negative":
-        return float(np.exp(-np.logaddexp(0.0, z)))
-    raise ValueError(f"polarity must be 'positive' or 'negative', got {polarity!r}")
-
-
 def encode_batch(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,
-                 head: ProjectionHead) -> Tensor:
+                 head: ProjectionHead, tokens: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> Tensor:
     """Each record the batch touches is encoded and projected exactly once,
     all of them in one graph; reuse keeps the tape small and still
-    accumulates every gradient path. Returns the (R, p) unit rows in
+    accumulates every gradient path. ``tokens`` is the corpus's
+    ``token_ids``, when the caller has it. Returns the (R, p) unit rows in
     ``batch.record_indices()`` order."""
-    records = [corpus.records[i] for i in batch.record_indices()]
-    return project(encode_records(records, encoder), head)
+    rows = batch.record_indices()
+    if tokens is None:
+        ids, keys = token_ids([corpus.records[i] for i in rows], encoder.cfg)
+    else:
+        ids, keys = tokens[0][rows], tokens[1][rows]
+    return project(encode_ids(ids, keys, encoder), head)
 
 
 def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,
-                     head: ProjectionHead, cfg: HmclConfig) -> Tensor:
+                     head: ProjectionHead, cfg: HmclConfig,
+                     tokens: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """L_cl for the batch (a scalar ≤ 0); minimize the negation.
 
     One weighted sum over the anchor-by-record score matrix S = s_a·s_r/α:
     each positive draw adds 1/|V⁺| to its record's column of the anchor's
     row of W⁺, each negative draw the same to W⁻ (repeated draws add up),
     and L_cl = (Σ W⁺⊙log σ(S) + Σ W⁻⊙log σ(−S)) / (|B|·L). Levels where the
-    anchor has no active label carry no weight."""
+    anchor has no active label carry no weight. ``tokens`` is passed on to
+    ``encode_batch``."""
     if not batch.anchors:
         raise EmptyBatch("batch has no anchors")
     col = {i: j for j, i in enumerate(batch.record_indices())}
-    w_pos = np.zeros((len(batch.anchors), len(col)))
-    w_neg = np.zeros_like(w_pos)
+    shape = (2, len(batch.anchors), len(col))  # W⁺ then W⁻
+    at, weight = [], []  # one scatter, draw by draw in batch order
     for a, per_anchor in enumerate(batch.draws):
         for ld in per_anchor:
-            if ld.n_pos_labels:
-                weight = 1.0 / ld.n_pos_labels
-                np.add.at(w_pos[a], [col[p] for p in ld.positives], weight)
-                np.add.at(w_neg[a], [col[p] for p in ld.negative_indices()], weight)
+            for k, drawn in enumerate((ld.positives, ld.negative_indices())):
+                if drawn and ld.n_pos_labels:
+                    at += [(k * shape[1] + a) * shape[2] + col[i] for i in drawn]
+                    weight += [1.0 / ld.n_pos_labels] * len(drawn)
+    w_pos, w_neg = np.bincount(np.array(at, dtype=np.intp), np.array(weight, dtype=np.float64),
+                               minlength=np.prod(shape)).reshape(shape)
     if not (w_pos.any() or w_neg.any()):
         raise EmptyBatch("no anchor in the batch has any active label")
-    rows = encode_batch(batch, corpus, encoder, head)
+    rows = encode_batch(batch, corpus, encoder, head, tokens)
     anchor_rows = ad.embed(rows, [col[i] for i in batch.anchors])
     scores = ad.scale(ad.matmul_nt(anchor_rows, rows), 1.0 / cfg.contrastive_alpha)
     dtype = rows.data.dtype
@@ -191,6 +184,7 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
     params = {**encoder.named("encoder"), **head.named()}
     before = embedding_diagnostics(corpus, project_corpus(corpus, encoder, head),
                                    h, seed=cfg.seed)
+    tokens = token_ids(corpus.records, encoder.cfg)
     state = AdamState()
     lr = cfg.lr
     history: list[PretrainStep] = []
@@ -214,7 +208,7 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
             try:
                 with ad.Tape() as tape:
                     objective = ad.scale(
-                        contrastive_loss(batch, corpus, encoder, head, cfg), -1.0)
+                        contrastive_loss(batch, corpus, encoder, head, cfg, tokens), -1.0)
                     tape.backward(objective)
             except EmptyBatch:
                 continue

@@ -18,8 +18,8 @@ import numpy as np
 
 from .hierarchy import (
     LabelHierarchy,
-    LevelOutOfRange,
     closure,
+    labels_at_level,
     labels_to_bits,
     validate_assignment,
 )
@@ -57,12 +57,14 @@ class Corpus:
     ``by_label[v]`` holds the (ascending) indices of records where v is
     active; ``label_matrix`` is the stacked n-by-m bit matrix of the same
     assignments, kept for fast filtering during negative sampling.
+    ``sampler_tables`` is filled by ``hmlc.sampling.tables``.
     """
 
     hierarchy: LabelHierarchy
     records: list[Record]
     by_label: dict[str, np.ndarray] = field(init=False)
     label_matrix: np.ndarray = field(init=False)
+    sampler_tables: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.hierarchy
@@ -88,11 +90,10 @@ def active_labels_at_level(
     """Split level ``lvl`` into the record's active labels and the inactive rest."""
     c._require_index(i)
     h = c.hierarchy
-    if lvl not in h.level_index:
-        raise LevelOutOfRange(f"level {lvl} outside 1..{h.depth}")
+    level = labels_at_level(h, lvl)
     bits = c.records[i].labels
-    pos = tuple(v for v in h.level_index[lvl] if bits[h.index[v]])
-    neg = tuple(v for v in h.level_index[lvl] if not bits[h.index[v]])
+    pos = tuple(v for v in level if bits[h.index[v]])
+    neg = tuple(v for v in level if not bits[h.index[v]])
     return pos, neg
 
 

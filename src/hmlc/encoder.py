@@ -7,9 +7,9 @@ stacked and fused by a second self-attention into the root embedding
 ``h_0`` of shape (F, d). Empty fields contribute a zero vector and are
 masked out of the fusion attention keys.
 
-A batch of records is encoded as one graph: every field of every record is
-one padded row of token ids, and key masks give the padding exactly zero
-attention weight.
+``token_ids`` turns records into padded token-id and key-mask arrays once;
+``encode_ids`` encodes any rows of them as one graph, in which key masks give
+the padding exactly zero attention weight.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class EncoderConfig:
     fields: tuple[str, ...] = DEFAULT_FIELDS
 
     def __post_init__(self):
-        if self.d % self.heads != 0:
+        if self.heads < 1 or self.d % self.heads != 0:
             raise ShapeMismatch(f"width {self.d} not divisible by {self.heads} heads")
-        if self.max_tokens < 1 or not self.fields or self.vocab_buckets < 1:
-            raise EncoderError("max_tokens >= 1, vocab_buckets >= 1, at least one field")
+        if self.d < 1 or self.max_tokens < 1 or not self.fields or self.vocab_buckets < 1:
+            raise EncoderError("d >= 1, max_tokens >= 1, vocab_buckets >= 1, at least one field")
 
     @property
     def table_rows(self) -> int:
@@ -94,32 +94,42 @@ def init_encoder(rng: np.random.Generator, cfg: EncoderConfig) -> EncoderParams:
     )
 
 
-def encode_records(records: list[Record], params: EncoderParams) -> Tensor:
-    """Records -> h_0 of shape (B, F, d), one graph for the whole batch.
+def token_ids(records: list[Record], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Records -> (ids, keys), both (N, F, 1+max_tokens): per field, its
+    special id, then its tokens, then zero padding; ``keys`` is True on the
+    special id and the tokens."""
+    n_fields = len(cfg.fields)
+    ids = np.zeros((len(records), n_fields, 1 + cfg.max_tokens), dtype=np.intp)
+    keys = np.zeros(ids.shape, dtype=bool)
+    ids[:, :, 0] = [special_id(cfg, f) for f in cfg.fields]
+    keys[:, :, 0] = True
+    for i, r in enumerate(records):
+        for j, f in enumerate(cfg.fields):
+            t = tokenize(r.fields.get(f, ""), cfg)
+            ids[i, j, 1:1 + len(t)] = t
+            keys[i, j, 1:1 + len(t)] = True
+    return ids, keys
 
-    Every field of every record is one row of a (B·F, 1+T) id matrix: the
-    field's special id, then its tokens, padded to the batch's longest field
-    T. One self-attention with the special-token rows as queries gives the
-    field vectors; padding is masked out of the keys. Empty fields become the
-    zero vector and are masked out of the fusion attention keys, so each
-    record's h_0 is the same function of its own fields whatever else is in
-    the batch."""
+
+def encode_ids(ids: np.ndarray, keys: np.ndarray, params: EncoderParams) -> Tensor:
+    """``token_ids`` rows -> h_0 of shape (B, F, d), one graph for the batch.
+
+    Every field of every record is one row of a (B·F, 1+T) id matrix, cut to
+    the batch's longest field T. One self-attention with the special-token
+    rows as queries gives the field vectors; padding is masked out of the
+    keys. Empty fields become the zero vector and are masked out of the
+    fusion attention keys, so each record's h_0 is the same function of its
+    own fields whatever else is in the batch."""
     cfg = params.cfg
-    if not records:
+    if not len(ids):
         raise EncoderError("no records to encode")
-    batch, n_fields = len(records), len(cfg.fields)
-    tokens = [tokenize(r.fields.get(f, ""), cfg) for r in records for f in cfg.fields]
-    present = np.array([len(t) > 0 for t in tokens]).reshape(batch, n_fields)
+    batch, n_fields = ids.shape[:2]
+    present = keys[:, :, 1]
     if not present.any(axis=1).all():
         raise AllFieldsEmpty("record has no non-empty field")
-    width = 1 + max(map(len, tokens))
-    ids = np.zeros((len(tokens), width), dtype=np.intp)
-    keys = np.zeros((len(tokens), width), dtype=bool)
-    ids[:, 0] = [special_id(cfg, f) for f in cfg.fields] * batch
-    keys[:, 0] = True
-    for i, t in enumerate(tokens):
-        ids[i, 1:1 + len(t)] = t
-        keys[i, 1:1 + len(t)] = True
+    width = int(keys.sum(axis=2).max())
+    ids = ids[:, :, :width].reshape(batch * n_fields, width)
+    keys = keys[:, :, :width].reshape(batch * n_fields, width)
     seq = embed(params.table, ids)
     field_vecs = multihead_attention(embed(params.table, ids[:, :1]), seq, seq,
                                      params.field_attn, key_mask=keys)
@@ -127,6 +137,11 @@ def encode_records(records: list[Record], params: EncoderParams) -> Tensor:
     hstar = mul(reshape(field_vecs, (batch, n_fields, cfg.d)),
                 const(keep, dtype=params.table.data.dtype))
     return multihead_attention(hstar, hstar, hstar, params.fuse_attn, key_mask=present)
+
+
+def encode_records(records: list[Record], params: EncoderParams) -> Tensor:
+    """Records -> h_0 of shape (B, F, d): ``encode_ids`` on their ``token_ids``."""
+    return encode_ids(*token_ids(records, params.cfg), params)
 
 
 def encode_record(record: Record, params: EncoderParams) -> Tensor:

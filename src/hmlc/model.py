@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus, Record
-from .encoder import EncoderConfig, EncoderParams, encode_record, encode_records, init_encoder
+from .encoder import (EncoderConfig, EncoderParams, encode_ids, encode_record, encode_records,
+                      init_encoder, token_ids)
 from .hierarchy import LabelHierarchy, LengthMismatch, repair_bits, validate_assignment
 from .metrics import micro_macro_f1
 from .nn import AttentionParams, MlpParams, init_attention, init_mlp, mlp_forward, multihead_attention
@@ -150,21 +151,8 @@ def _global_logits(h_0: Tensor, model: HmcnModel) -> Tensor:
     return mlp_forward(_flat_fields(h_0), model.global_head)
 
 
-def _logit(z: Tensor) -> Tensor:
-    one_minus = ad.shift(ad.scale(z, -1.0), 1.0)
-    return ad.sub(ad.log(z), ad.log(one_minus))
-
-
-def integrate(z_local: Tensor, z_global: Tensor, model: HmcnModel) -> Tensor:
-    """Final likelihoods from the two branch likelihood vectors."""
-    if z_local.shape != (model.hierarchy.m,) or z_global.shape != (model.hierarchy.m,):
-        raise ad.ShapeMismatch("integrate expects two length-m likelihood vectors")
-    return _integrate_logits(_logit(z_local), _logit(z_global), model)
-
-
 def _integrate_logits(local_logits: Tensor, global_logits: Tensor, model: HmcnModel) -> Tensor:
-    # the integration MLP consumes pre-sigmoid scores; integrate() above is
-    # the same function expressed on likelihoods (logit inverts the sigmoid)
+    # the integration MLP consumes the two branches' pre-sigmoid scores
     x = ad.concat([local_logits, global_logits], dim=-1)
     return ad.sigmoid(mlp_forward(x, model.integration))
 
@@ -289,6 +277,7 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
     state = AdamState()
     lr = schedule.lr
     n = len(corpus)
+    ids, keys = token_ids(corpus.records, model.encoder.cfg)
     threshold = loss_cfg.threshold
     history: list[EpochStats] = []
     for epoch in range(1, schedule.epochs + 1):
@@ -301,7 +290,8 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
             ad.zero_grads(params)
             try:
                 with ad.Tape() as tape:
-                    pred = forward_batch(batch, model)
+                    pred = _predict(encode_ids(ids[batch_idx], keys[batch_idx], model.encoder),
+                                    model)
                     loss = total_loss(batch, model, loss_cfg, pred=pred)
                     tape.backward(loss)
             except ad.NonFiniteValue as e:

@@ -92,7 +92,7 @@ class AttentionParams:
 
 
 def init_attention(rng: np.random.Generator, d: int, heads: int) -> AttentionParams:
-    if d % heads != 0:
+    if heads < 1 or d % heads != 0:
         raise ShapeMismatch(f"width {d} not divisible by {heads} heads")
     dh = d // heads
     p = AttentionParams(heads=heads)

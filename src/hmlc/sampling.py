@@ -4,12 +4,20 @@ Negatives are drawn in two stages — first a label u uniformly from the
 strategy's negative label space V_¬v, then an instance that has u active and
 the anchor label v inactive — so rare labels are represented as often as
 populous ones at the label stage.
+
+Draws read lookups that never change for a corpus (a record's active labels
+per level, V_¬v, a label pair's candidate records), kept on the corpus and
+filled on first use; the generator is consumed exactly as if each lookup
+were recomputed on every draw.
 """
 
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass, field
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,12 +52,27 @@ def negative_label_space(h: LabelHierarchy, v: str, strategy: str) -> tuple[str,
     raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def tables(c: Corpus) -> SimpleNamespace:
+    """The sampler lookups of ``c``, attached to it on first use, each entry
+    computed on its first request: ``active(i, lvl)`` (record i's active
+    labels at level lvl), ``space(v, strategy)`` (V_¬v) and
+    ``candidates(u, v)`` (ascending indices of the records with u active and
+    v inactive)."""
+    if c.sampler_tables is None:
+        p = weakref.proxy(c)  # the lookups must not keep their corpus alive
+        rows, col = c.by_label, c.hierarchy.index
+        c.sampler_tables = SimpleNamespace(
+            active=cache(lambda i, lvl: active_labels_at_level(p, i, lvl)[0]),
+            space=cache(lambda v, strategy: negative_label_space(p.hierarchy, v, strategy)),
+            candidates=cache(lambda u, v: rows[u][p.label_matrix[rows[u], col[v]] == 0]))
+    return c.sampler_tables
+
+
 def sample_positives(c: Corpus, i: int, lvl: int, rng: np.random.Generator) -> list[int]:
     """One uniform draw from X_v per anchor label v active at this level.
     The anchor's own record is a legal draw."""
-    pos_labels, _ = active_labels_at_level(c, i, lvl)
     out = []
-    for v in pos_labels:
+    for v in tables(c).active(i, lvl):
         pool = c.by_label[v]
         out.append(int(pool[rng.integers(0, pool.size)]))
     return out
@@ -66,21 +89,18 @@ def sample_negatives(c: Corpus, i: int, lvl: int, strategy: str,
     attempts; an empty V_¬v (e.g. sibling strategy on an only child) skips
     the draw outright.
     """
-    h = c.hierarchy
-    pos_labels, _ = active_labels_at_level(c, i, lvl)
+    t = tables(c)
     out: list[tuple[str, str, int]] = []
     skipped_empty = 0
     skipped_unsat = 0
-    for v in pos_labels:
-        space = negative_label_space(h, v, strategy)
+    for v in t.active(i, lvl):
+        space = t.space(v, strategy)
         if not space:
             skipped_empty += 1
             continue
-        v_col = h.index[v]
         for _ in range(len(space)):
             u = space[rng.integers(0, len(space))]
-            rows = c.by_label[u]
-            candidates = rows[c.label_matrix[rows, v_col] == 0]
+            candidates = t.candidates(u, v)
             if candidates.size:
                 out.append((v, u, int(candidates[rng.integers(0, candidates.size)])))
                 break
@@ -134,8 +154,7 @@ def build_batch(c: Corpus, anchors, repeats_per_level, strategy: str,
     for i in batch.anchors:
         per_anchor = []
         for lvl in range(1, h.depth + 1):
-            pos_labels, _ = active_labels_at_level(c, i, lvl)
-            ld = LevelDraws(level=lvl, anchor_labels=pos_labels)
+            ld = LevelDraws(level=lvl, anchor_labels=tables(c).active(i, lvl))
             for _ in range(int(repeats_per_level[lvl - 1])):
                 ld.positives.extend(sample_positives(c, i, lvl, rng))
                 negs, se, su = sample_negatives(c, i, lvl, strategy, rng)

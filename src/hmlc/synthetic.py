@@ -110,20 +110,3 @@ def _render_fields(h, active, pools, fillers, rng, cfg) -> dict[str, str]:
     text = {"name": " ".join(name), "description": " ".join(desc), "comments": " ".join(comments)}
     return {f: text.get(f, "") for f in cfg.fields}
 
-
-def expected_label_marginals(h: LabelHierarchy, cfg: SyntheticConfig | None = None) -> dict[str, float]:
-    """Closed-form P(label active) under the generator's sampling scheme."""
-    cfg = cfg or SyntheticConfig()
-    p_path: dict[str, float] = {}
-    for v in h.labels:  # level-major order guarantees parents come first
-        u = h.parent[v]
-        if u is None:
-            p_path[v] = 1.0 / len(h.level_index[1])
-        else:
-            p_path[v] = p_path[u] * (1.0 - cfg.stop_prob) / len(h.children[u])
-    out = {}
-    for v, p in p_path.items():
-        one = p
-        two = 1.0 - (1.0 - p) ** 2
-        out[v] = (1.0 - cfg.two_path_prob) * one + cfg.two_path_prob * two
-    return out

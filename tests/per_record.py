@@ -1,5 +1,6 @@
 """The per-record forward path and the per-pair contrastive loss, kept as
-the references for the batched ones.
+the references for the batched ones, with two likelihood-space references:
+the integration MLP applied to likelihoods and one pair's probability.
 
 Each record builds its own graph: one self-attention per non-empty field
 over exactly its [special ∥ tokens] rows, the special-token row taken as the
@@ -19,10 +20,12 @@ import numpy as np
 from hmlc import autodiff as ad
 from hmlc.contrastive import EmptyBatch
 from hmlc.encoder import AllFieldsEmpty, EncoderParams, special_id, tokenize
+from hmlc.metrics import NonUnitInput
 from hmlc.model import (
     HmcnModel,
     LossConfig,
     Prediction,
+    _integrate_logits,
     focal_loss,
     local_embeddings,
     path_regularization,
@@ -145,3 +148,33 @@ def contrastive_loss(batch, corpus, encoder: EncoderParams, head, cfg) -> ad.Ten
     if total is None:
         raise EmptyBatch("no anchor in the batch has any active label")
     return ad.scale(total, 1.0 / (len(batch.anchors) * depth))
+
+
+def integrate(z_local: ad.Tensor, z_global: ad.Tensor, model: HmcnModel) -> ad.Tensor:
+    """Final likelihoods from the two branch likelihood vectors: the
+    integration MLP reads logits, and the logit inverts the sigmoid."""
+    if z_local.shape != (model.hierarchy.m,) or z_global.shape != (model.hierarchy.m,):
+        raise ad.ShapeMismatch("integrate expects two length-m likelihood vectors")
+    return _integrate_logits(_logit(z_local), _logit(z_global), model)
+
+
+def _logit(z: ad.Tensor) -> ad.Tensor:
+    one_minus = ad.shift(ad.scale(z, -1.0), 1.0)
+    return ad.sub(ad.log(z), ad.log(one_minus))
+
+
+def pair_probability(s, s_prime, polarity: str, alpha: float = 0.1) -> float:
+    """σ(s·s'/α) for a positive pair, 1−σ(s·s'/α) for a negative one."""
+    s = np.asarray(s, dtype=float)
+    s_prime = np.asarray(s_prime, dtype=float)
+    for vec in (s, s_prime):
+        if abs(np.linalg.norm(vec) - 1.0) > 1e-4:
+            raise NonUnitInput(f"pair_probability input norm {np.linalg.norm(vec):.6f}")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    z = float(s @ s_prime) / alpha
+    if polarity == "positive":
+        return float(np.exp(-np.logaddexp(0.0, -z)))
+    if polarity == "negative":
+        return float(np.exp(-np.logaddexp(0.0, z)))
+    raise ValueError(f"polarity must be 'positive' or 'negative', got {polarity!r}")

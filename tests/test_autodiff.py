@@ -172,6 +172,26 @@ def test_embed_scatter_add_repeated_ids():
         ad.embed(table, [3])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_flat_scatter_matches_2d_add_at(dtype):
+    # repeated ids, several id shapes, and a non-zero gradient already in
+    # the table, C- or Fortran-ordered: bit for bit the 2-D np.add.at result
+    rng = np.random.default_rng(40)
+    for case in range(40):
+        rows, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        ids = rng.integers(0, rows, size=tuple(rng.integers(1, 5, size=case % 3 + 1)))
+        upstream = rng.normal(size=ids.shape + (d,)).astype(dtype)
+        start = rng.normal(size=(rows, d)).astype(dtype)
+        table = ad.Tensor(rng.normal(size=(rows, d)).astype(dtype))
+        table.grad = start.copy(order="F" if case % 2 else "C")
+        with ad.Tape() as tape:
+            tape.backward(ad.sum_all(ad.mul(ad.const(upstream, dtype=dtype), ad.embed(table, ids))))
+        want = start.copy()
+        np.add.at(want, ids, upstream)
+        assert table.grad.dtype == dtype
+        assert np.array_equal(table.grad, want)
+
+
 def test_zero_grads_dict_and_list():
     a, b = ad.tensor(1.0), ad.tensor(2.0)
     a.grad = np.ones(())

@@ -15,7 +15,7 @@ import pytest
 from hmlc import autodiff as ad
 from hmlc.contrastive import HmclConfig, contrastive_loss, encode_batch, init_projection
 from hmlc.corpus import Corpus, Record
-from hmlc.encoder import EncoderConfig, tokenize
+from hmlc.encoder import EncoderConfig, encode_ids, encode_records, token_ids, tokenize
 from hmlc.hierarchy import labels_to_bits
 from hmlc.model import LossConfig, ModelConfig, forward, forward_batch, init_model, total_loss
 from hmlc.sampling import build_batch
@@ -93,6 +93,18 @@ def test_total_loss_and_gradients_match_per_record(setup, lambda_reg):
     want, want_grads = _loss_and_grads(params, lambda: per_record.total_loss(records, model, cfg))
     assert got == pytest.approx(want, rel=0, abs=TOL)
     _assert_grads_match(got_grads, want_grads)
+
+
+def test_encode_ids_on_token_rows_matches_encode_records(setup):
+    # rows picked out of one corpus-wide table, out of order and repeated,
+    # with ragged, empty and truncated fields in the same batch
+    model, records = setup
+    ids, keys = token_ids(records, ENC)
+    assert ids.shape == keys.shape == (len(records), len(ENC.fields), 1 + ENC.max_tokens)
+    for rows in ([4, 0, 2], [2], [5, 1, 1, 3, 0, 4, 2]):
+        got = encode_ids(ids[rows], keys[rows], model.encoder)
+        want = encode_records([records[i] for i in rows], model.encoder)
+        assert got.shape == want.shape and np.array_equal(got.data, want.data)
 
 
 def _contrastive_parity(model, corpus, cfg, anchors, seed):

@@ -353,9 +353,30 @@ def test_eval_precision_mismatch(ws, capsys):
     ckpt = str(ws["tr1"] / "model.ckpt")  # trained in f32
     assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
                  "--precision", "f64"]) == 3
-    assert "--precision f64 differs" in capsys.readouterr().err
+    assert "precision f64 differs" in capsys.readouterr().err
     assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
                  "--precision", "f32"]) == 0
+
+
+def test_eval_config_precision_mismatch(ws, tmp_path, capsys):
+    # trained in f32; the INI's [run] precision = f64 is a mismatch
+    ckpt = str(ws["tr1"] / "model.ckpt")
+    assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt]) == 3
+    assert "precision f64 differs" in capsys.readouterr().err
+    # the flag wins over the INI, as everywhere else
+    assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt,
+                 "--precision", "f32", "--out", str(tmp_path / "flag")]) == 0
+
+
+def test_eval_config_precision_omitted_or_matching(ws, tmp_path):
+    f64_run = tmp_path / "f64"
+    assert main(["train", "--config", str(ws["ini_f64"]), "--out", str(f64_run)]) == 0
+    ckpt = str(f64_run / "model.ckpt")
+    # ws["ini"] has no precision key: the checkpoint's precision is used
+    for ini in (ws["ini"], ws["ini_f64"]):
+        out = tmp_path / f"eval-{ini.stem}"
+        assert main(["eval", "--config", str(ini), "--checkpoint", ckpt, "--out", str(out)]) == 0
+        assert (out / "eval.json").exists()
 
 
 def test_sidecar_log_is_closed_and_detached(ws, tmp_path, monkeypatch):
@@ -408,7 +429,7 @@ def test_infer_precision_mismatch(ws, tmp_path, capsys):
     args = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
             "--input", str(ws["data"] / "test.jsonl")]
     assert main(args + ["--out", str(tmp_path / "f64"), "--precision", "f64"]) == 3
-    assert "--precision f64 differs" in capsys.readouterr().err
+    assert "precision f64 differs" in capsys.readouterr().err
     assert not (tmp_path / "f64").exists()
     assert main(args + ["--out", str(tmp_path / "f32"), "--precision", "f32"]) == 0
     assert len((tmp_path / "f32" / "predictions.jsonl").read_text().splitlines()) == 16

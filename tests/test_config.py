@@ -11,6 +11,7 @@ from hmlc.config import (
     canonical_json,
     component_seeds,
     config_hash,
+    effective_dict,
     encoder_scope,
     load_run_config,
     model_scope,
@@ -79,7 +80,7 @@ def test_full_parse(tmp_path):
     assert cfg.loss.focal_alpha == 0.3
     assert cfg.loss.threshold == 0.4
     assert cfg.seed == 7
-    assert cfg.precision == "f64"
+    assert cfg.precision == "f64" and cfg.precision_given
     assert cfg.out == "runs/demo"
     assert cfg.train.epochs == 3
     assert cfg.train.early_stop_f1 == 0.9
@@ -96,8 +97,9 @@ def test_defaults_fill_missing_sections(tmp_path):
     assert cfg.train.epochs == 20
     assert cfg.hmcl.strategy == "sibling"
     assert cfg.hmcl.repeats_per_level == (10, 20, 50)
-    assert cfg.precision == "f32"
+    assert cfg.precision == "f32" and not cfg.precision_given
     assert cfg.out is None
+    assert "precision_given" not in effective_dict(cfg)
 
 
 def test_component_seeds_fill_train_and_pretrain(tmp_path):
@@ -123,7 +125,7 @@ def test_overrides_win(tmp_path):
     assert cfg.seed == 99
     assert cfg.out == "elsewhere"
     assert cfg.hmcl.strategy == "all"
-    assert cfg.precision == "f32"
+    assert cfg.precision == "f32" and cfg.precision_given
 
 
 def test_missing_hierarchy(tmp_path):

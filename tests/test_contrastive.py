@@ -16,7 +16,6 @@ from hmlc.contrastive import (
     contrastive_loss,
     encode_batch,
     init_projection,
-    pair_probability,
     pretrain,
     project,
     project_corpus,
@@ -30,6 +29,7 @@ from hmlc.sampling import ContrastiveBatch, LevelDraws, SamplingError, build_bat
 from hmlc.synthetic import make_synthetic_corpus
 
 from conftest import make_record
+from per_record import pair_probability
 
 TINY_ENC = EncoderConfig(vocab_buckets=32, d=4, heads=1, max_tokens=4,
                          fields=("name", "description"))
@@ -155,7 +155,7 @@ def test_loss_closed_form_orthogonal(monkeypatch, f64):
 
     eye = np.eye(len(records))
     monkeypatch.setattr(
-        ct, "encode_batch", lambda b, c, e, hd: ad.tensor(eye[b.record_indices()]))
+        ct, "encode_batch", lambda b, c, e, hd, tokens: ad.tensor(eye[b.record_indices()]))
     cfg = HmclConfig(strategy="all", repeats_per_level=(1, 1))
     loss = contrastive_loss(batch, corpus, None, None, cfg)
     # anchor 0: levels contribute (1+1)/1 + (1+1)/1 = 4 log-half terms;

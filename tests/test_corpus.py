@@ -16,13 +16,8 @@ from hmlc.corpus import (
     load_corpus,
     write_corpus,
 )
-from hmlc.hierarchy import LevelOutOfRange, UnknownLabel, validate_assignment
-from hmlc.synthetic import (
-    SyntheticConfig,
-    demo_hierarchy,
-    expected_label_marginals,
-    make_synthetic_corpus,
-)
+from hmlc.hierarchy import LabelHierarchy, LevelOutOfRange, UnknownLabel, validate_assignment
+from hmlc.synthetic import SyntheticConfig, demo_hierarchy, make_synthetic_corpus
 
 from conftest import make_record
 
@@ -189,6 +184,23 @@ def test_synthetic_records_are_path_consistent(demo_corpus):
     for r in demo_corpus.records:
         assert validate_assignment(h, r.labels) == []
         assert any(r.fields.values())
+
+
+def expected_label_marginals(h: LabelHierarchy, cfg: SyntheticConfig) -> dict[str, float]:
+    """Closed-form P(label active) under the generator's sampling scheme."""
+    p_path: dict[str, float] = {}
+    for v in h.labels:  # level-major order guarantees parents come first
+        u = h.parent[v]
+        if u is None:
+            p_path[v] = 1.0 / len(h.level_index[1])
+        else:
+            p_path[v] = p_path[u] * (1.0 - cfg.stop_prob) / len(h.children[u])
+    out = {}
+    for v, p in p_path.items():
+        one = p
+        two = 1.0 - (1.0 - p) ** 2
+        out[v] = (1.0 - cfg.two_path_prob) * one + cfg.two_path_prob * two
+    return out
 
 
 def test_synthetic_marginals_match_generator_priors():

@@ -80,6 +80,10 @@ def test_special_ids():
 def test_config_validation():
     with pytest.raises(ad.ShapeMismatch):
         EncoderConfig(d=9, heads=2)
+    with pytest.raises(ad.ShapeMismatch):
+        EncoderConfig(d=8, heads=0)  # not a ZeroDivisionError
+    with pytest.raises(EncoderError):
+        EncoderConfig(d=0, heads=1)
     with pytest.raises(EncoderError):
         EncoderConfig(max_tokens=0)
     with pytest.raises(EncoderError):

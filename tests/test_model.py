@@ -25,7 +25,6 @@ from hmlc.model import (
     focal_loss,
     forward,
     init_model,
-    integrate,
     local_embeddings,
     path_regularization,
     predict_labels,
@@ -34,6 +33,8 @@ from hmlc.model import (
     train,
 )
 from hmlc.synthetic import make_synthetic_corpus
+
+from per_record import integrate
 
 SMALL_ENC = EncoderConfig(vocab_buckets=64, d=8, heads=2, max_tokens=8)
 SMALL_CFG = ModelConfig(encoder=SMALL_ENC, head_hidden=8, cross_heads=2)

@@ -97,6 +97,8 @@ def test_attention_validation():
     rng = np.random.default_rng(3)
     with pytest.raises(ad.ShapeMismatch):
         init_attention(rng, 6, 4)  # width not divisible
+    with pytest.raises(ad.ShapeMismatch):
+        init_attention(rng, 4, 0)
     p = init_attention(rng, 4, 2)
     q = ad.tensor(rng.normal(size=(2, 4)))
     with pytest.raises(ad.ShapeMismatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from hmlc.sampling import (
 from hmlc.synthetic import make_synthetic_corpus
 
 from conftest import make_record, random_tree
+import per_draw
 
 
 # ------------------------------------------------------- negative spaces
@@ -279,3 +282,55 @@ def test_invalid_negative_draws_raise(demo):
                              negatives=[("Finance", "Video", 1)])
     with pytest.raises(SamplingError, match="lacks its negative label 'Video'"):
         _assert_negatives_valid(corpus, lacks_label)
+
+
+# ------------------------------------------- lookups kept on the corpus
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_build_batch_matches_per_draw_reference(strategy, demo_corpus):
+    # a random tree with only children over few records, and a corpus where
+    # no negative is drawable, make the skip counters move
+    h = random_tree(np.random.default_rng(3), 14, max_children=2)
+    corpora = [demo_corpus, make_synthetic_corpus(h, 40, seed=3), _two_label_corpus()]
+    got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+    pick = np.random.default_rng(22)
+    skips = 0
+    for k in range(1000):
+        c = corpora[k % 3]
+        anchors = pick.integers(0, len(c), size=4)
+        repeats = ((1, 2, 3) + (1,) * c.hierarchy.depth)[:c.hierarchy.depth]
+        got = build_batch(c, anchors, repeats, strategy, got_rng)
+        want = per_draw.build_batch(c, anchors, repeats, strategy, want_rng)
+        assert got == want
+        assert got.record_indices() == want.record_indices()
+        skips += got.skipped_empty_space + got.skipped_unsatisfiable
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert skips > 0
+
+
+def test_corpora_built_in_turn_keep_their_own_tables(demo):
+    # the second corpus may reuse the first one's memory address; its
+    # lookups must still be its own
+    for seed in range(4):
+        c = make_synthetic_corpus(demo, 30, seed=seed)
+        got = build_batch(c, range(len(c)), (1, 2, 3), "all", np.random.default_rng(seed))
+        want = per_draw.build_batch(c, range(len(c)), (1, 2, 3), "all",
+                                    np.random.default_rng(seed))
+        assert got == want
+        del c
+        gc.collect()
+    a, b = (make_synthetic_corpus(demo, 30, seed=s) for s in (0, 1))
+    for c in (a, b):
+        build_batch(c, [0], (1, 1, 1), "sibling", np.random.default_rng(0))
+    assert a.sampler_tables is not b.sampler_tables
+    assert a.sampler_tables.active(0, 1) == active_labels_at_level(a, 0, 1)[0]
+    assert b.sampler_tables.active(0, 1) == active_labels_at_level(b, 0, 1)[0]
+    # the lookups hold no strong reference back to their corpus
+    gc.disable()
+    try:
+        gone = weakref.ref(a)
+        del a
+        assert gone() is None
+    finally:
+        gc.enable()
