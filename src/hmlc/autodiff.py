@@ -1,4 +1,7 @@
-"""Dense-array reverse-mode autodiff on numpy, define-by-run.
+"""Dense-array reverse-mode autodiff on numpy, define-by-run. Ops: matmul,
+matmul_nt, add, sub, mul, scale, shift, pow_const, log, clip, sigmoid,
+log_sigmoid, relu, dense (one MLP layer), attention (multi-head),
+l2_normalize, concat, reshape, flatten, sum_all and embed.
 
 Ops executed while a ``Tape`` is active append their backward closures to
 it in creation order, which is already a topological order of the compute
@@ -130,8 +133,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _emit(data: np.ndarray, make_backward) -> Tensor:
-    _check_finite(data)
+def _emit(data: np.ndarray, make_backward, checked: bool = False) -> Tensor:
+    if not checked:
+        _check_finite(data)
     out = Tensor(data)
     tape = _active()
     if tape is not None:
@@ -197,21 +201,15 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        def bw():
-            def fn(g):
-                _accum(a, g)
-                _accum(b, g)
-            return fn
-    elif a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]:
-        # bias broadcast over every leading row
-        def bw():
-            def fn(g):
-                _accum(a, g)
-                _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-            return fn
-    else:
+    if a.shape != b.shape:
         raise ShapeMismatch(f"add {a.shape} + {b.shape}")
+
+    def bw():
+        def fn(g):
+            _accum(a, g)
+            _accum(b, g)
+        return fn
+
     return _emit(a.data + b.data, bw)
 
 
@@ -346,15 +344,42 @@ def relu(a: Tensor) -> Tensor:
     return _emit(data, bw)
 
 
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
+ACTIVATIONS = ("relu", "tanh", "identity")
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
+    """act(x @ w + b) for one vector (k,) or along the last axis of (..., k),
+    with ``w`` (k, n) and ``b`` (n,): a matmul, a bias add and an activation
+    as one op, with the same numpy calls in the same order as those three."""
+    if activation not in ACTIVATIONS or w.ndim != 2 or x.ndim not in (1, 2, 3) \
+            or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"dense {x.shape} @ {w.shape} + {b.shape}, {activation!r}")
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    z = (x.data @ w.data if x.ndim == 1 else (x2 @ w.data).reshape(x.shape[:-1] + (n,))) + b.data
+    # relu(-inf) = 0 and tanh(±inf) = ±1, so the check comes before the activation
+    _check_finite(z)
+    data = np.maximum(z, 0.0) if activation == "relu" else \
+        np.tanh(z) if activation == "tanh" else z
 
     def bw():
         def fn(g):
-            _accum(a, g * (1.0 - data * data))
+            if activation == "relu":
+                g = g * (z > 0)
+            elif activation == "tanh":
+                g = g * (1.0 - data * data)
+            if x.ndim == 1:
+                _accum(b, g)
+                _accum(x, w.data @ g)
+                _accum(w, np.outer(x.data, g))
+            else:
+                g2 = g.reshape(-1, n)
+                _accum(b, g2.sum(axis=0))
+                _accum(x, (g2 @ w.data.T).reshape(x.shape))
+                _accum(w, x2.T @ g2)
         return fn
 
-    return _emit(data, bw)
+    return _emit(data, bw, checked=True)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, wq: list[Tensor], wk: list[Tensor],
@@ -401,9 +426,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: list[Tensor], wk: list[Tensor
     def merge(x):  # (n, H, rows, dh) -> (n·rows, H·dh)
         return x.transpose(0, 2, 1, 3).reshape(-1, heads * dh)
 
-    wq_all, wk_all, wv_all = (np.concatenate([w.data for w in ws], axis=1)
-                              for ws in (wq, wk, wv))
-    qh, kh, vh = split(q2 @ wq_all, r), split(k2 @ wk_all, s), split(v2 @ wv_all, s)
+    # one gather of every head's weights: columns [q heads | k heads | v heads]
+    w_all = np.concatenate([w.data for w in (*wq, *wk, *wv)], axis=1)
+    hd = heads * dh
+    wq_all, wk_all, wv_all = w_all[:, :hd], w_all[:, hd:2 * hd], w_all[:, 2 * hd:]
+    if k is v:  # self or cross attention over one key/value matrix: one GEMM
+        kv = k2 @ w_all[:, hd:]
+        kp, vp = kv[:, :hd], kv[:, hd:]
+    else:
+        kp, vp = k2 @ wk_all, v2 @ wv_all
+    qh, kh, vh = split(q2 @ wq_all, r), split(kp, s), split(vp, s)
     # a Python float keeps f32 scores f32 (an np.float64 scalar would promote them)
     c = 1.0 / math.sqrt(dh)
     scores = qh @ kh.transpose(0, 1, 3, 2)

@@ -75,7 +75,13 @@ def _csv_ints(raw: str) -> tuple[int, ...]:
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse the INI file; ``overrides`` may carry seed/out/strategy/precision
     values from command-line flags, which win over the file."""
-    overrides = overrides or {}
+    try:
+        return _load_run_config(path, overrides or {})
+    except configparser.Error as e:  # duplicate sections or options, bad syntax or %
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _load_run_config(path, overrides: dict) -> RunConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

@@ -14,6 +14,7 @@ discarded after pretraining, leaving the encoder weights for the classifier.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,10 +52,15 @@ class HmclConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise SamplingError(f"unknown strategy {self.strategy!r}")
-        if self.contrastive_alpha <= 0:
-            raise ValueError("contrastive_alpha must be positive")
+        if not 0.0 < self.contrastive_alpha < math.inf:
+            raise ValueError("contrastive_alpha must be positive and finite")
         if not self.repeats_per_level or any(r < 1 for r in self.repeats_per_level):
             raise ValueError("repeats_per_level entries must be >= 1")
+        if not (min(self.batch_size, self.epochs, self.decay_every_batches, self.proj_hidden,
+                    self.proj_dim) >= 1 and 0.0 <= self.lr < math.inf
+                and 0.0 <= self.lr_decay < math.inf and (self.max_batches or 0) >= 0):
+            raise ValueError("batch_size, epochs, decay_every_batches, proj_hidden, proj_dim >= 1; "
+                             "lr, lr_decay finite and >= 0; max_batches >= 0")
 
 
 @dataclass

@@ -14,6 +14,7 @@ The heads take one record's h_0 (F, d) or a batch's (B, F, d) alike:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class LossConfig:
     clamp_eps: float = 1e-7
 
     def __post_init__(self):
-        ok = (0.0 < self.focal_alpha < 1.0 and self.focal_gamma >= 0.0
-              and self.lambda_reg >= 0.0 and 0.0 < self.threshold < 1.0)
+        ok = (0.0 < self.focal_alpha < 1.0 and 0.0 <= self.focal_gamma < math.inf
+              and 0.0 <= self.lambda_reg < math.inf and 0.0 < self.threshold < 1.0)
         if not ok:
             raise ValueError("focal_alpha in (0,1), focal_gamma >= 0, "
                              "lambda_reg >= 0, threshold in (0,1)")
@@ -84,12 +85,20 @@ class HmcnModel:
 
 @dataclass
 class Prediction:
-    """Likelihoods in level-major order: length m for one record, (B, m)
-    for a batch."""
+    """Scores in level-major order, length m for one record or (B, m) for a
+    batch; no loss reads the branch likelihoods, so they are made when read."""
 
-    z_local: Tensor
-    z_global: Tensor
+    local_logits: Tensor
+    global_logits: Tensor
     z_final: Tensor
+
+    @property
+    def z_local(self) -> Tensor:
+        return ad.sigmoid(self.local_logits)
+
+    @property
+    def z_global(self) -> Tensor:
+        return ad.sigmoid(self.global_logits)
 
 
 def edge_selectors(h: LabelHierarchy):
@@ -143,14 +152,6 @@ def _flat_fields(h: Tensor) -> Tensor:
     return ad.reshape(h, h.shape[:-2] + (-1,))
 
 
-def _local_logits(h_level: Tensor, model: HmcnModel, lvl: int) -> Tensor:
-    return mlp_forward(_flat_fields(h_level), model.level_heads[lvl - 1])
-
-
-def _global_logits(h_0: Tensor, model: HmcnModel) -> Tensor:
-    return mlp_forward(_flat_fields(h_0), model.global_head)
-
-
 def _integrate_logits(local_logits: Tensor, global_logits: Tensor, model: HmcnModel) -> Tensor:
     # the integration MLP consumes the two branches' pre-sigmoid scores
     x = ad.concat([local_logits, global_logits], dim=-1)
@@ -158,15 +159,11 @@ def _integrate_logits(local_logits: Tensor, global_logits: Tensor, model: HmcnMo
 
 
 def _predict(h_0: Tensor, model: HmcnModel) -> Prediction:
-    levels = local_embeddings(h_0, model)
-    local_logits = ad.concat(
-        [_local_logits(h, model, lvl) for lvl, h in enumerate(levels, start=1)], dim=-1)
-    global_logits = _global_logits(h_0, model)
-    return Prediction(
-        z_local=ad.sigmoid(local_logits),
-        z_global=ad.sigmoid(global_logits),
-        z_final=_integrate_logits(local_logits, global_logits, model),
-    )
+    local_logits = ad.concat([mlp_forward(_flat_fields(h), head) for h, head
+                              in zip(local_embeddings(h_0, model), model.level_heads)], dim=-1)
+    global_logits = mlp_forward(_flat_fields(h_0), model.global_head)
+    return Prediction(local_logits, global_logits,
+                      _integrate_logits(local_logits, global_logits, model))
 
 
 def forward(record: Record, model: HmcnModel) -> Prediction:
@@ -241,6 +238,12 @@ class TrainConfig:
     decay_every_epochs: int = 2
     seed: int = 0
     early_stop_f1: float | None = None  # stop once train micro-F1 reaches this
+
+    def __post_init__(self):
+        if not (min(self.epochs, self.batch_size, self.decay_every_epochs) >= 1
+                and 0.0 <= self.lr < math.inf and 0.0 <= self.lr_decay < math.inf):
+            raise ValueError("epochs, batch_size, decay_every_epochs >= 1; "
+                             "lr, lr_decay finite and >= 0")
 
 
 @dataclass

@@ -11,19 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    ShapeMismatch,
-    Tensor,
-    add,
-    attention,
-    default_dtype,
-    matmul,
-    relu,
-    tanh,
-    tensor,
-)
-
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "identity": lambda t: t}
+from .autodiff import ACTIVATIONS, ShapeMismatch, Tensor, attention, default_dtype, dense, tensor
 
 
 @dataclass
@@ -52,7 +40,7 @@ def init_mlp(rng: np.random.Generator, sizes: list[int], activation: str = "relu
     """``sizes`` gives the unit counts layer by layer, input first."""
     if len(sizes) < 2:
         raise ShapeMismatch("an MLP needs at least input and output sizes")
-    if activation not in _ACTIVATIONS:
+    if activation not in ACTIVATIONS:
         raise ShapeMismatch(f"unknown activation {activation!r}")
     p = MlpParams(activation=activation)
     for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -63,13 +51,10 @@ def init_mlp(rng: np.random.Generator, sizes: list[int], activation: str = "relu
 
 def mlp_forward(x: Tensor, p: MlpParams) -> Tensor:
     """Apply the MLP to a single vector (1D) or along the last axis of a
-    matrix or a batch of matrices (2D, 3D)."""
-    act = _ACTIVATIONS[p.activation]
+    matrix or a batch of matrices (2D, 3D), one ``dense`` op per layer."""
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        x = add(matmul(x, w), b)
-        if i != last:
-            x = act(x)
+        x = dense(x, w, b, p.activation if i != last else "identity")
     return x
 
 

@@ -86,11 +86,7 @@ def forward(record, model: HmcnModel) -> Prediction:
          for lvl, h in enumerate(levels)], dim=0)
     global_logits = mlp_forward(ad.flatten(h_0), model.global_head)
     x = ad.concat([local_logits, global_logits], dim=0)
-    return Prediction(
-        z_local=ad.sigmoid(local_logits),
-        z_global=ad.sigmoid(global_logits),
-        z_final=ad.sigmoid(mlp_forward(x, model.integration)),
-    )
+    return Prediction(local_logits, global_logits, ad.sigmoid(mlp_forward(x, model.integration)))
 
 
 def total_loss(batch, model: HmcnModel, cfg: LossConfig) -> ad.Tensor:

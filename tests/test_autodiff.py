@@ -7,6 +7,8 @@ import pytest
 
 from hmlc import autodiff as ad
 
+import per_layer
+
 
 def _t(rng, *shape, lo=-1.0, hi=1.0):
     return ad.tensor(rng.uniform(lo, hi, size=shape))
@@ -227,6 +229,94 @@ def test_matmul_shape_errors():
         ad.matmul_nt(cube, cube)
     with pytest.raises(ad.ShapeMismatch):
         ad.add(a, ad.tensor(np.zeros(2)))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.add(a, ad.tensor(np.zeros(3)))  # a bias add is part of dense
+
+
+def test_dense_shape_errors():
+    x, w, b = ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 4))), ad.tensor(np.zeros(4))
+    for args in ((x, w, ad.tensor(np.zeros(3))), (x, ad.tensor(np.zeros((2, 4))), b),
+                 (ad.tensor(np.zeros((1, 2, 2, 3))), w, b), (x, ad.tensor(np.zeros(3)), b)):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.dense(*args)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.dense(x, w, b, "gelu")
+
+
+def _value_and_grads(layer, x, w, b, upstream):
+    params = [x, w, b]
+    ad.zero_grads(params)
+    with ad.Tape() as tape:
+        y = layer(x, w, b)
+        tape.backward(ad.sum_all(ad.mul(y, upstream)))
+    grads = [t.grad for t in params]
+    ad.zero_grads(params)
+    return y.data, grads, len(tape.nodes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+def test_dense_matches_three_ops_bit_for_bit(dtype, activation, lead):
+    rng = np.random.default_rng(len(lead) + 10 * len(activation))
+    x = ad.tensor(rng.normal(size=lead + (6,)), dtype=dtype)
+    w = ad.tensor(rng.normal(size=(6, 7)), dtype=dtype)
+    b = ad.tensor(rng.normal(size=7), dtype=dtype)
+    upstream = ad.const(rng.normal(size=lead + (7,)), dtype=dtype)
+    got, got_grads, nodes = _value_and_grads(
+        lambda *a: ad.dense(*a, activation), x, w, b, upstream)
+    want, want_grads, _ = _value_and_grads(
+        lambda *a: per_layer.dense(*a, activation), x, w, b, upstream)
+    assert nodes == 3  # dense, mul, sum_all
+    assert got.dtype == dtype and np.array_equal(got, want)
+    for g, ref in zip(got_grads, want_grads):
+        assert g.dtype == dtype and g.shape == ref.shape and np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "w", "b"])
+def test_dense_rejects_nonfinite_before_the_activation(activation, bad, where):
+    # tanh(±inf) = ±1 and relu(-inf) = 0: only the pre-activation shows these
+    rng = np.random.default_rng(3)
+    arrays = {"x": rng.normal(size=(2, 3)), "w": rng.normal(size=(3, 4)),
+              "b": rng.normal(size=4)}
+    arrays[where].flat[1] = bad
+    x, w, b = (ad.Tensor(arrays[k].astype(np.float32)) for k in "xwb")
+    with pytest.raises(ad.NonFiniteValue), np.errstate(invalid="ignore"):
+        ad.dense(x, w, b, activation)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_attention_shared_key_value_projection_bit_for_bit(dtype, lead):
+    # k is v takes one GEMM against the k|v weights; a copy of the same
+    # matrix as v takes two: values and every gradient agree exactly
+    rng = np.random.default_rng(41)
+    wq, wk, wv = ([ad.tensor(rng.normal(size=(8, 4)), dtype=dtype) for _ in range(2)]
+                  for _ in range(3))
+    wo = ad.tensor(rng.normal(size=(8, 8)), dtype=dtype)
+    q = ad.tensor(rng.normal(size=lead + (3, 8)), dtype=dtype)
+    kv = ad.tensor(rng.normal(size=lead + (5, 8)), dtype=dtype)
+    mask = np.ones(lead + (5,), dtype=bool)
+    mask[..., -1] = False
+    upstream = ad.const(rng.normal(size=q.shape), dtype=dtype)
+    params = [q, kv, *wq, *wk, *wv, wo]
+
+    def run(v):
+        ad.zero_grads(params + [v])
+        with ad.Tape() as tape:
+            y = ad.attention(q, kv, v, wq, wk, wv, wo, key_mask=mask)
+            tape.backward(ad.sum_all(ad.mul(y, upstream)))
+        return y.data, [t.grad for t in params], v.grad
+
+    shared, shared_grads, _ = run(kv)
+    copy = ad.tensor(kv.data.copy(), dtype=dtype)
+    split, split_grads, v_grad = run(copy)
+    split_grads[1] = split_grads[1] + v_grad  # the value path's share of kv.grad
+    assert shared.dtype == dtype and np.array_equal(shared, split)
+    for g, ref in zip(shared_grads, split_grads):
+        assert np.array_equal(g, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +339,7 @@ def test_every_op_passes_grad_check(f64, seed):
     vec = _t(rng, 3)
     pos = _t(rng, 4, lo=0.3, hi=2.0)      # keep log/pow/l2 away from kinks
     cube = _t(rng, 2, 2, 3)   # a batch of two 2x3 matrices
+    bias = _t(rng, 2)
     sq = lambda y: ad.sum_all(ad.mul(y, y))
 
     cases = {
@@ -256,9 +347,12 @@ def test_every_op_passes_grad_check(f64, seed):
         "matmul_12": lambda: ad.sum_all(ad.matmul(vec, b)),
         "matmul_nt": lambda: ad.sum_all(ad.matmul_nt(a, c)),
         "matmul_32": lambda: sq(ad.matmul(cube, b)),
-        "add_bias_3d": lambda: sq(ad.add(cube, vec)),
+        "add_bias_3d": lambda: sq(per_layer.add(cube, vec)),
         "add": lambda: ad.sum_all(ad.add(a, c)),
-        "add_bias": lambda: ad.sum_all(ad.add(a, vec)),
+        "add_bias": lambda: ad.sum_all(per_layer.add(a, vec)),
+        "dense_1d_relu": lambda: sq(ad.dense(vec, b, bias, "relu")),
+        "dense_2d_tanh": lambda: sq(ad.dense(a, b, bias, "tanh")),
+        "dense_3d": lambda: sq(ad.dense(cube, b, bias)),
         "sub": lambda: ad.sum_all(ad.sub(a, c)),
         "mul": lambda: ad.sum_all(ad.mul(a, c)),
         "scale_shift": lambda: ad.sum_all(ad.shift(ad.scale(a, -1.7), 0.4)),
@@ -268,7 +362,7 @@ def test_every_op_passes_grad_check(f64, seed):
         "sigmoid": lambda: ad.sum_all(ad.sigmoid(a)),
         "log_sigmoid": lambda: ad.sum_all(ad.log_sigmoid(a)),
         "relu": lambda: ad.sum_all(ad.relu(ad.shift(pos, 0.05))),
-        "tanh": lambda: ad.sum_all(ad.tanh(a)),
+        "tanh": lambda: ad.sum_all(per_layer.tanh(a)),
         "l2_norm_1d": lambda: ad.sum_all(ad.mul(ad.l2_normalize(pos), pos)),
         "l2_norm_2d": lambda: ad.sum_all(ad.mul(ad.l2_normalize(a), c)),
         "concat": lambda: ad.sum_all(ad.mul(ad.concat([a, c], dim=1),
@@ -279,7 +373,7 @@ def test_every_op_passes_grad_check(f64, seed):
         "embed_2d": lambda: sq(ad.embed(a, [[0, 1], [1, 1]])),
     }
     for name, f in cases.items():
-        report = ad.grad_check(f, [a, b, c, vec, pos, cube])
+        report = ad.grad_check(f, [a, b, c, vec, pos, cube, bias])
         assert report.ok, f"{name} (seed {seed}): {report}"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import configparser
 import csv
 import json
 import logging
@@ -9,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hmlc import autodiff as ad
 from hmlc import contrastive
@@ -604,3 +607,110 @@ def test_missing_hierarchy_path_fails_cleanly(ws, tmp_path, capsys):
                    .format(tmp_path / "absent.tsv", ws["data"] / "train.jsonl"))
     assert main(["train", "--config", str(ini)]) == 2
     assert "absent.tsv" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ INI validation
+
+
+def _ini_with(ws, path, changes):
+    """BASE_INI for one epoch with ``changes`` {(section, key): value} applied."""
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE_INI.format(data=ws["data"], epochs=1, run_extra=""))
+    for (section, key), value in changes.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
+    with open(path, "w") as f:
+        parser.write(f)
+    return path
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "batch_size", "-1"), ("train", "batch_size", "0"), ("train", "epochs", "0"),
+    ("train", "decay_every_epochs", "0"), ("train", "lr", "nan"), ("train", "lr", "inf"),
+    ("train", "lr", "-0.5"), ("train", "lr_decay", "nan"),
+    ("hmcl", "batch_size", "0"), ("hmcl", "epochs", "0"), ("hmcl", "decay_every_batches", "0"),
+    ("hmcl", "proj_hidden", "0"), ("hmcl", "proj_dim", "0"), ("hmcl", "lr", "nan"),
+    ("hmcl", "lr_decay", "-1"), ("hmcl", "max_batches", "-1"),
+    ("hmcl", "contrastive_alpha", "inf"), ("loss", "lambda_reg", "inf"),
+    ("loss", "focal_gamma", "nan"),
+])
+def test_schedule_out_of_range_exits_input(ws, tmp_path, capsys, section, key, value):
+    # each once ran: batch_size -1 wrote an untrained checkpoint and exited 0,
+    # a zero decay period ended in ZeroDivisionError, proj_dim 0 in exit 1
+    ini = _ini_with(ws, tmp_path / "bad.ini", {(section, key): value})
+    command = "pretrain" if section == "hmcl" else "train"
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("text", [
+    "[run]\nseed = 1\n[run]\nseed = 2\n",         # duplicate section
+    "[run]\nseed = 1\nseed = 2\n",                 # duplicate option
+    "seed = 1\n[run]\n",                           # no section header
+    "[run]\nseed\n",                               # no value
+    "[paths]\nhierarchy = 50%\n[run]\nseed = 1\n",  # bad interpolation
+])
+def test_ini_syntax_errors_exit_input(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert main(["train", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+FUZZ_SECTIONS = {
+    "paths": {"hierarchy": "{data}/hierarchy.tsv", "train": "{data}/train.jsonl"},
+    "encoder": {"vocab_buckets": "16", "d": "4", "heads": "1", "max_tokens": "4",
+                "fields": "name, description, comments"},
+    "model": {"head_hidden": "4", "cross_heads": "1"},
+    "loss": {"focal_alpha": "0.25", "focal_gamma": "2", "lambda_reg": "1", "threshold": "0.5"},
+    "run": {"seed": "3", "precision": "f32"},
+    "train": {"epochs": "1", "batch_size": "4", "lr": "0.01", "lr_decay": "0.8",
+              "decay_every_epochs": "1", "early_stop_f1": ""},
+    "hmcl": {"strategy": "all", "contrastive_alpha": "0.1", "repeats_per_level": "1, 1, 1",
+             "batch_size": "4", "lr": "0.001", "lr_decay": "0.8", "decay_every_batches": "1",
+             "epochs": "1", "max_batches": "2", "proj_hidden": "4", "proj_dim": "4"},
+}
+FUZZ_KEYS = [(section, key) for section, keys in FUZZ_SECTIONS.items() for key in keys]
+# small numbers keep every accepted run short; the rest are out of range or malformed
+FUZZ_VALUES = ["", "-1", "0", "1", "2", "3", "0.5", "1e-3", "1.5", "nan", "inf", "-inf",
+               "1e400", "x", "%", "%(x)s", "f64", "f16", "all", "sibling", "name",
+               "name, name", "1, 2", "0, 1", "/absent"]
+FUZZ_JUNK = ["junk", "[", "[paths", "= 1", "  continued", "[extra]", "; comment", "key: 2"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ini_fuzz")
+    assert main(["gen-synthetic", "--out", str(root / "data"), "--seed", "3",
+                 "--n-train", "8", "--n-val", "0", "--n-test", "0"]) == 0
+    return root
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(changes=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                        max_size=4),
+       drop=st.lists(st.sampled_from(FUZZ_KEYS), max_size=2),
+       inserts=st.lists(st.tuples(st.integers(min_value=0),
+                                  st.sampled_from(FUZZ_JUNK + [f"{k} = 1" for _, k in FUZZ_KEYS])),
+                        max_size=2))
+def test_fuzzed_ini_runs_or_exits_input(fuzz_data, changes, drop, inserts):
+    # values set, keys dropped, and junk, duplicate keys or duplicate sections
+    # inserted anywhere: ``hmlc train`` runs, or exits 2 or 3; never a
+    # traceback, and never exit 1: every value here that passes the checks is
+    # small enough for one to three epochs on eight records to stay finite
+    sections = {name: dict(keys) for name, keys in FUZZ_SECTIONS.items()}
+    for (section, key), value in changes:
+        sections[section][key] = value
+    for section, key in drop:
+        sections[section].pop(key, None)
+    lines = [line for name, keys in sections.items()
+             for line in [f"[{name}]"] + [f"{k} = {v}" for k, v in keys.items()]]
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    ini = fuzz_data / "fuzz.ini"
+    ini.write_text("\n".join(lines).replace("{data}", str(fuzz_data / "data")) + "\n")
+    code = main(["train", "--config", str(ini), "--out", str(fuzz_data / "run")])
+    assert code in (0, 2, 3)

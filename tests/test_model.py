@@ -134,6 +134,22 @@ def test_gradient_reaches_both_branches(demo, demo_model, demo_corpus):
     assert np.any(demo_model.encoder.table.grad != 0)
 
 
+def test_tape_node_counts(demo, demo_model, demo_corpus):
+    # one record: 7 encoder nodes, 2 cross-attentions, one dense node per
+    # MLP layer (prior, three level heads, global head, integration: 12),
+    # 4 flattening reshapes, 2 concats and the final sigmoid
+    with ad.Tape() as tape:
+        pred = forward(demo_corpus.records[0], demo_model)
+    assert len(tape.nodes) == 28
+    with ad.Tape() as tape:
+        pred.z_local, pred.z_global  # branch likelihoods: one sigmoid each, when read
+    assert len(tape.nodes) == 2
+    # a train step: the batch's forward pass (no reshape to one record) and the loss
+    with ad.Tape() as tape:
+        total_loss(demo_corpus.records[:8], demo_model, LossConfig())
+    assert len(tape.nodes) == 49
+
+
 # ------------------------------------------------------- path regularization
 
 
