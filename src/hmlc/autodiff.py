@@ -1,12 +1,14 @@
 """Dense-array reverse-mode autodiff on numpy, define-by-run. Ops: matmul,
 matmul_nt, add, sub, mul, scale, shift, pow_const, log, clip, sigmoid,
 log_sigmoid, relu, dense (one MLP layer), attention (multi-head),
-l2_normalize, concat, reshape, flatten, sum_all and embed.
+l2_normalize, concat, reshape, sum_all and embed.
 
-Ops executed while a ``Tape`` is active append their backward closures to
-it in creation order, which is already a topological order of the compute
-graph; ``Tape.backward`` therefore replays the list once, in reverse.
-Without an active tape the same ops run forward-only (inference mode).
+Each op computes its value and hands it, with one backward closure mapping
+the value's gradient into its inputs' gradients, to ``_emit``. While a
+``Tape`` is active, ``_emit`` appends the closure to it; creation order is
+already a topological order of the compute graph, so ``Tape.backward``
+replays the list once, in reverse. Without an active tape the closure is
+dropped and the op runs forward-only (inference mode).
 
 Every op validates that its result is finite and raises ``NonFiniteValue``
 otherwise; numerical trouble is an error state here, never a silent NaN.
@@ -133,13 +135,15 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _emit(data: np.ndarray, make_backward, checked: bool = False) -> Tensor:
+def _emit(data: np.ndarray, backward, checked: bool = False) -> Tensor:
+    """Wrap an op's result; under an active tape, record ``backward``, which
+    maps the result's gradient into its inputs' gradients."""
     if not checked:
         _check_finite(data)
     out = Tensor(data)
     tape = _active()
     if tape is not None:
-        tape.nodes.append((out, make_backward()))
+        tape.nodes.append((out, backward))
     return out
 
 
@@ -153,124 +157,84 @@ def zero_grads(tensors) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for (..., k) @ (k, n) and the 1D case (k,) @ (k, n)."""
-    if a.ndim >= 2 and b.ndim == 2:
-        # one GEMM over every leading row; 2D @ 2D is the case with none
-        k, n = b.shape
-        if a.shape[-1] != k:
-            raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-        a2 = a.data.reshape(-1, k)
-        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+    """Matrix product (..., k) @ (k, n) as one GEMM over every leading row; a
+    vector (k,) is one row."""
+    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
 
-        def bw():
-            def fn(g):
-                g2 = g.reshape(-1, n)
-                _accum(a, (g2 @ b.data.T).reshape(a.shape))
-                _accum(b, a2.T @ g2)
-            return fn
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        _accum(a, (g2 @ b.data.T).reshape(a.shape))
+        _accum(b, a2.T @ g2)
 
-    elif a.ndim == 1 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-        data = a.data @ b.data
-
-        def bw():
-            def fn(g):
-                _accum(a, b.data @ g)
-                _accum(b, np.outer(a.data, g))
-            return fn
-
-    else:
-        raise ShapeMismatch(f"matmul does not support {a.shape} @ {b.shape}")
-    return _emit(data, bw)
+    return _emit(data, backward)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T for 2D operands."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
-    data = a.data @ b.data.T
 
-    def bw():
-        def fn(g):
-            _accum(a, g @ b.data)
-            _accum(b, g.T @ a.data)
-        return fn
+    def backward(g):
+        _accum(a, g @ b.data)
+        _accum(b, g.T @ a.data)
 
-    return _emit(data, bw)
+    return _emit(a.data @ b.data.T, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"add {a.shape} + {b.shape}")
 
-    def bw():
-        def fn(g):
-            _accum(a, g)
-            _accum(b, g)
-        return fn
+    def backward(g):
+        _accum(a, g)
+        _accum(b, g)
 
-    return _emit(a.data + b.data, bw)
+    return _emit(a.data + b.data, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"sub {a.shape} - {b.shape}")
 
-    def bw():
-        def fn(g):
-            _accum(a, g)
-            _accum(b, -g)
-        return fn
+    def backward(g):
+        _accum(a, g)
+        _accum(b, -g)
 
-    return _emit(a.data - b.data, bw)
+    return _emit(a.data - b.data, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"mul {a.shape} * {b.shape}")
 
-    def bw():
-        def fn(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-        return fn
+    def backward(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    return _emit(a.data * b.data, bw)
+    return _emit(a.data * b.data, backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def bw():
-        def fn(g):
-            _accum(a, g * c)
-        return fn
-
-    return _emit(a.data * c, bw)
+    return _emit(a.data * c, lambda g: _accum(a, g * c))
 
 
 def shift(a: Tensor, c: float) -> Tensor:
-    def bw():
-        def fn(g):
-            _accum(a, g)
-        return fn
-
-    return _emit(a.data + float(c), bw)
+    return _emit(a.data + float(c), lambda g: _accum(a, g))
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    data = a.data**p
 
-    def bw():
-        def fn(g):
-            if p == 0.0:
-                return
+    def backward(g):
+        if p != 0.0:
             _accum(a, g * p * a.data ** (p - 1.0))
-        return fn
 
-    return _emit(data, bw)
+    return _emit(a.data**p, backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -279,26 +243,12 @@ def log(a: Tensor) -> Tensor:
             data = np.log(a.data)
         except FloatingPointError as e:
             raise NonFiniteValue("log of a non-positive value") from e
-
-    def bw():
-        def fn(g):
-            _accum(a, g / a.data)
-        return fn
-
-    return _emit(data, bw)
+    return _emit(data, lambda g: _accum(a, g / a.data))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    data = np.clip(a.data, lo, hi)
-
-    def bw():
-        inside = (a.data > lo) & (a.data < hi)
-
-        def fn(g):
-            _accum(a, g * inside)
-        return fn
-
-    return _emit(data, bw)
+    return _emit(np.clip(a.data, lo, hi),
+                 lambda g: _accum(a, g * ((a.data > lo) & (a.data < hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -310,76 +260,49 @@ _SIGMOID_CLAMP = 15.0  # keeps sigmoid outputs away from exact 0/1 in f32
 def sigmoid(a: Tensor) -> Tensor:
     x = np.clip(a.data, -_SIGMOID_CLAMP, _SIGMOID_CLAMP)
     s = 1.0 / (1.0 + np.exp(-x))
-
-    def bw():
-        inside = np.abs(a.data) < _SIGMOID_CLAMP
-
-        def fn(g):
-            _accum(a, g * s * (1.0 - s) * inside)
-        return fn
-
-    return _emit(s, bw)
+    return _emit(s, lambda g: _accum(a, g * s * (1.0 - s) * (np.abs(a.data) < _SIGMOID_CLAMP)))
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)), computed stably; note log(1-sigmoid(x)) = log_sigmoid(-x)."""
-    data = -np.logaddexp(0.0, -a.data)
-
-    def bw():
-        def fn(g):
-            _accum(a, g * np.exp(-np.logaddexp(0.0, a.data)))  # sigmoid(-x)
-        return fn
-
-    return _emit(data, bw)
+    return _emit(-np.logaddexp(0.0, -a.data),
+                 lambda g: _accum(a, g * np.exp(-np.logaddexp(0.0, a.data))))  # sigmoid(-x)
 
 
 def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def bw():
-        def fn(g):
-            _accum(a, g * (a.data > 0))
-        return fn
-
-    return _emit(data, bw)
+    return _emit(np.maximum(a.data, 0.0), lambda g: _accum(a, g * (a.data > 0)))
 
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
-    """act(x @ w + b) for one vector (k,) or along the last axis of (..., k),
-    with ``w`` (k, n) and ``b`` (n,): a matmul, a bias add and an activation
-    as one op, with the same numpy calls in the same order as those three."""
+    """act(x @ w + b) along the last axis of (..., k), with ``w`` (k, n) and
+    ``b`` (n,); a vector (k,) is one row. A matmul, a bias add and an
+    activation as one op, with the same numpy calls in the same order as
+    those three."""
     if activation not in ACTIVATIONS or w.ndim != 2 or x.ndim not in (1, 2, 3) \
             or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeMismatch(f"dense {x.shape} @ {w.shape} + {b.shape}, {activation!r}")
     k, n = w.shape
     x2 = x.data.reshape(-1, k)
-    z = (x.data @ w.data if x.ndim == 1 else (x2 @ w.data).reshape(x.shape[:-1] + (n,))) + b.data
+    z = (x2 @ w.data).reshape(x.shape[:-1] + (n,)) + b.data
     # relu(-inf) = 0 and tanh(±inf) = ±1, so the check comes before the activation
     _check_finite(z)
     data = np.maximum(z, 0.0) if activation == "relu" else \
         np.tanh(z) if activation == "tanh" else z
 
-    def bw():
-        def fn(g):
-            if activation == "relu":
-                g = g * (z > 0)
-            elif activation == "tanh":
-                g = g * (1.0 - data * data)
-            if x.ndim == 1:
-                _accum(b, g)
-                _accum(x, w.data @ g)
-                _accum(w, np.outer(x.data, g))
-            else:
-                g2 = g.reshape(-1, n)
-                _accum(b, g2.sum(axis=0))
-                _accum(x, (g2 @ w.data.T).reshape(x.shape))
-                _accum(w, x2.T @ g2)
-        return fn
+    def backward(g):
+        if activation == "relu":
+            g = g * (z > 0)
+        elif activation == "tanh":
+            g = g * (1.0 - data * data)
+        g2 = g.reshape(-1, n)
+        _accum(b, g2.sum(axis=0))
+        _accum(x, (g2 @ w.data.T).reshape(x.shape))
+        _accum(w, x2.T @ g2)
 
-    return _emit(data, bw, checked=True)
+    return _emit(data, backward, checked=True)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, wq: list[Tensor], wk: list[Tensor],
@@ -449,56 +372,44 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: list[Tensor], wk: list[Tensor
     merged = merge(p @ vh)
     data = (merged @ wo.data).reshape(q.shape[:-1] + (wo.shape[1],))
 
-    def bw():
-        def fn(g):
-            g2 = g.reshape(-1, wo.shape[1])
-            _accum(wo, merged.T @ g2)
-            g_heads = split(g2 @ wo.data.T, r)
-            g_p = g_heads @ vh.transpose(0, 1, 3, 2)
-            g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
-            for x, x2, w_all, ws, gh in (
-                    (q, q2, wq_all, wq, g_scores @ kh),
-                    (k, k2, wk_all, wk, g_scores.transpose(0, 1, 3, 2) @ qh),
-                    (v, v2, wv_all, wv, p.transpose(0, 1, 3, 2) @ g_heads)):
-                gh = merge(gh)
-                g_w = x2.T @ gh
-                for h, w in enumerate(ws):
-                    _accum(w, g_w[:, h * dh:(h + 1) * dh])
-                _accum(x, (gh @ w_all.T).reshape(x.shape))
-        return fn
+    def backward(g):
+        g2 = g.reshape(-1, wo.shape[1])
+        _accum(wo, merged.T @ g2)
+        g_heads = split(g2 @ wo.data.T, r)
+        g_p = g_heads @ vh.transpose(0, 1, 3, 2)
+        g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+        for x, x2, w_all, ws, gh in (
+                (q, q2, wq_all, wq, g_scores @ kh),
+                (k, k2, wk_all, wk, g_scores.transpose(0, 1, 3, 2) @ qh),
+                (v, v2, wv_all, wv, p.transpose(0, 1, 3, 2) @ g_heads)):
+            gh = merge(gh)
+            g_w = x2.T @ gh
+            for h, w in enumerate(ws):
+                _accum(w, g_w[:, h * dh:(h + 1) * dh])
+            _accum(x, (gh @ w_all.T).reshape(x.shape))
 
-    return _emit(data, bw)
+    return _emit(data, backward)
+
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Scale rows (2D) or the whole vector (1D) to unit Euclidean norm."""
-    if a.ndim == 1:
-        n = np.linalg.norm(a.data)
-        if n == 0:
-            raise NonFiniteValue("l2_normalize: the vector has zero norm")
-        y = a.data / n
-
-        def bw():
-            def fn(g):
-                _accum(a, (g - y * (y @ g)) / n)
-            return fn
-
-    elif a.ndim == 2:
-        n = np.linalg.norm(a.data, axis=1, keepdims=True)
-        zero = np.flatnonzero(n == 0)
-        if zero.size:
-            raise NonFiniteValue(f"l2_normalize: row {zero[0]} of {a.shape[0]} has zero norm "
-                                 f"({zero.size} such rows)")
-        y = a.data / n
-
-        def bw():
-            def fn(g):
-                _accum(a, (g - y * (y * g).sum(axis=1, keepdims=True)) / n)
-            return fn
-
-    else:
+    """Scale the rows of (r, d) to unit Euclidean norm; a vector (d,) is one row."""
+    if a.ndim not in (1, 2):
         raise ShapeMismatch(f"l2_normalize expects 1D or 2D, got {a.shape}")
-    return _emit(y, bw)
+    a2 = a.data.reshape(-1, a.shape[-1])
+    # the sum np.linalg.norm(a2, axis=1) takes, without its per-call overhead
+    n = np.sqrt((a2 * a2).sum(axis=1, keepdims=True))
+    if not n.all():
+        zero = np.flatnonzero(n == 0)
+        raise NonFiniteValue(f"l2_normalize: row {zero[0]} of {len(a2)} has zero norm "
+                             f"({zero.size} such rows)")
+    y = a2 / n
+
+    def backward(g):
+        g2 = g.reshape(y.shape)
+        _accum(a, ((g2 - y * (y * g2).sum(axis=1, keepdims=True)) / n).reshape(a.shape))
+
+    return _emit(y.reshape(a.shape), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -511,47 +422,25 @@ def concat(parts: list[Tensor], dim: int = 0) -> Tensor:
     if any(p.ndim != nd for p in parts) or not -nd <= dim < nd:
         raise ShapeMismatch("concat rank/dim mismatch")
     dim %= nd
-    data = np.concatenate([p.data for p in parts], axis=dim)
 
-    def bw():
-        sizes = [p.shape[dim] for p in parts]
+    def backward(g):
+        start = 0
+        for p in parts:
+            sl = [slice(None)] * nd
+            sl[dim] = slice(start, start + p.shape[dim])
+            _accum(p, g[tuple(sl)])
+            start += p.shape[dim]
 
-        def fn(g):
-            start = 0
-            for p, size in zip(parts, sizes):
-                sl = [slice(None)] * nd
-                sl[dim] = slice(start, start + size)
-                _accum(p, g[tuple(sl)])
-                start += size
-        return fn
-
-    return _emit(data, bw)
+    return _emit(np.concatenate([p.data for p in parts], axis=dim), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def bw():
-        def fn(g):
-            _accum(a, g.reshape(a.shape))
-        return fn
-
-    return _emit(data, bw)
-
-
-def flatten(a: Tensor) -> Tensor:
-    return reshape(a, (a.data.size,))
+    return _emit(a.data.reshape(shape), lambda g: _accum(a, g.reshape(a.shape)))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def bw():
-        def fn(g):
-            _accum(a, np.broadcast_to(g, a.shape))
-        return fn
-
-    return _emit(data, bw)
+    return _emit(np.asarray(a.data.sum(), dtype=a.data.dtype),
+                 lambda g: _accum(a, np.broadcast_to(g, a.shape)))
 
 
 def embed(table: Tensor, ids) -> Tensor:
@@ -563,21 +452,18 @@ def embed(table: Tensor, ids) -> Tensor:
         raise ShapeMismatch(f"embed table must be 2D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeMismatch("token id outside embedding table")
-    data = table.data[ids]
 
-    def bw():
-        def fn(g):
-            if table.constant:
-                return
-            grad = np.zeros(table.shape, table.data.dtype) if table.grad is None else table.grad
-            # the flat view below must alias the gradient it adds into
-            table.grad = grad = np.ascontiguousarray(grad)
-            d = table.shape[1]
-            np.add.at(grad.reshape(-1), (ids[..., None] * d + np.arange(d)).reshape(-1),
-                      g.reshape(-1))
-        return fn
+    def backward(g):
+        if table.constant:
+            return
+        grad = np.zeros(table.shape, table.data.dtype) if table.grad is None else table.grad
+        # the flat view below must alias the gradient it adds into
+        table.grad = grad = np.ascontiguousarray(grad)
+        d = table.shape[1]
+        np.add.at(grad.reshape(-1), (ids[..., None] * d + np.arange(d)).reshape(-1),
+                  g.reshape(-1))
 
-    return _emit(data, bw)
+    return _emit(table.data[ids], backward)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .config import (
     scope_hash,
 )
 from .contrastive import pretrain
-from .corpus import Corpus, CorpusError, Record, load_corpus, write_corpus
+from .corpus import Corpus, CorpusError, Record, field_texts, load_corpus, write_corpus
 from .encoder import AllFieldsEmpty, EncoderConfig
 from .hierarchy import HierarchyError, LabelHierarchy, load_hierarchy, parse_hierarchy, repair_bits
 from .metrics import MetricsError, ks_statistic
@@ -276,6 +276,11 @@ def cmd_eval(args) -> int:
             payload[name] = {**report.to_dict(), "violations": violations}
         if args.scores:
             scores = json.loads(Path(args.scores).read_text())
+            if not (isinstance(scores, dict) and all(
+                    isinstance(scores.get(k), list)
+                    and all(type(x) in (int, float) for x in scores[k]) for k in ("pos", "neg"))):
+                raise MetricsError(f"{args.scores}: expected an object whose 'pos' and 'neg' "
+                                   f"are lists of numbers")
             ks = ks_statistic(scores["pos"], scores["neg"])
             payload["ks"] = ks.to_dict()
         if out is not None:
@@ -306,7 +311,7 @@ def cmd_infer(args) -> int:
                         raise TypeError("fields must be a JSON object")
                     rec = Record(
                         id=str(obj["id"]),
-                        fields={k: str(v) for k, v in fields.items()},
+                        fields=field_texts(fields, model.cfg.encoder.fields),
                         labels=np.zeros(h.m, dtype=np.uint8),
                     )
                     pred = forward(rec, model)

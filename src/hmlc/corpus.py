@@ -119,6 +119,11 @@ def load_corpus(
     return Corpus(hierarchy=h, records=records)
 
 
+def field_texts(raw_fields: dict, fields: tuple[str, ...]) -> dict[str, str]:
+    """The text of each named field; a missing, null or empty one reads as ""."""
+    return {name: str(raw_fields.get(name, "") or "") for name in fields}
+
+
 def _parse_record(line, lineno, h, fields, repair, where) -> Record:
     try:
         obj = json.loads(line)
@@ -129,7 +134,7 @@ def _parse_record(line, lineno, h, fields, repair, where) -> Record:
     raw_fields = obj.get("fields")
     if not isinstance(raw_fields, dict):
         raise MalformedLine(f"{where}:{lineno}: missing 'fields' object")
-    text = {name: str(raw_fields.get(name, "") or "") for name in fields}
+    text = field_texts(raw_fields, fields)
     if not any(text.values()):
         raise MalformedLine(f"{where}:{lineno}: record {obj['id']!r} has no non-empty field")
     names = obj.get("labels", [])

@@ -56,6 +56,10 @@ class ModelConfig:
     head_hidden: int = 32
     cross_heads: int = 2
 
+    def __post_init__(self):
+        if self.head_hidden < 1:
+            raise ValueError(f"head_hidden must be >= 1, got {self.head_hidden}")
+
 
 @dataclass
 class HmcnModel:
@@ -208,7 +212,7 @@ def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
         raise ValueError("empty batch")
     z = (pred if pred is not None else forward_batch(batch, model)).z_final
     labels = np.stack([r.labels for r in batch])
-    total = focal_loss(ad.flatten(z), labels.ravel(), cfg)
+    total = focal_loss(ad.reshape(z, (-1,)), labels.ravel(), cfg)
     if cfg.lambda_reg > 0.0:
         reg = path_regularization(z, model.hierarchy, (model.child_sel, model.parent_sel))
         total = ad.add(total, ad.scale(reg, cfg.lambda_reg))

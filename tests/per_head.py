@@ -28,13 +28,11 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ad.ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
 
-    def bw():
-        def fn(g):
-            _accum(a, g @ b.data.transpose(0, 2, 1))
-            _accum(b, a.data.transpose(0, 2, 1) @ g)
-        return fn
+    def backward(g):
+        _accum(a, g @ b.data.transpose(0, 2, 1))
+        _accum(b, a.data.transpose(0, 2, 1) @ g)
 
-    return _emit(a.data @ b.data, bw)
+    return _emit(a.data @ b.data, backward)
 
 
 def matmul_nt(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -43,13 +41,11 @@ def matmul_nt(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
             or a.shape[-1] != b.shape[-1]:
         raise ad.ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
 
-    def bw():
-        def fn(g):
-            _accum(a, g @ b.data)
-            _accum(b, np.swapaxes(g, -1, -2) @ a.data)
-        return fn
+    def backward(g):
+        _accum(a, g @ b.data)
+        _accum(b, np.swapaxes(g, -1, -2) @ a.data)
 
-    return _emit(a.data @ np.swapaxes(b.data, -1, -2), bw)
+    return _emit(a.data @ np.swapaxes(b.data, -1, -2), backward)
 
 
 def softmax(a: ad.Tensor, key_mask: np.ndarray | None = None) -> ad.Tensor:
@@ -71,12 +67,10 @@ def softmax(a: ad.Tensor, key_mask: np.ndarray | None = None) -> ad.Tensor:
         e = np.exp(np.where(keep, x, -np.inf))
     p = e / e.sum(axis=-1, keepdims=True)
 
-    def bw():
-        def fn(g):
-            _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-        return fn
+    def backward(g):
+        _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
-    return _emit(p, bw)
+    return _emit(p, backward)
 
 
 def multihead_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, p: AttentionParams,

@@ -23,24 +23,20 @@ def add(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     if not (a.ndim >= 2 and b.ndim == 1 and a.shape[-1] == b.shape[0]):
         raise ad.ShapeMismatch(f"add {a.shape} + {b.shape}")
 
-    def bw():
-        def fn(g):
-            _accum(a, g)
-            _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-        return fn
+    def backward(g):
+        _accum(a, g)
+        _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
 
-    return _emit(a.data + b.data, bw)
+    return _emit(a.data + b.data, backward)
 
 
 def tanh(a: ad.Tensor) -> ad.Tensor:
     data = np.tanh(a.data)
 
-    def bw():
-        def fn(g):
-            _accum(a, g * (1.0 - data * data))
-        return fn
+    def backward(g):
+        _accum(a, g * (1.0 - data * data))
 
-    return _emit(data, bw)
+    return _emit(data, backward)
 
 
 ACTIVATIONS = {"relu": ad.relu, "tanh": tanh, "identity": lambda t: t}

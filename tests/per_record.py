@@ -82,9 +82,9 @@ def forward(record, model: HmcnModel) -> Prediction:
     h_0 = encode_record(record, model.encoder)
     levels = local_embeddings(h_0, model)
     local_logits = ad.concat(
-        [mlp_forward(ad.flatten(h), model.level_heads[lvl])
+        [mlp_forward(ad.reshape(h, (-1,)), model.level_heads[lvl])
          for lvl, h in enumerate(levels)], dim=0)
-    global_logits = mlp_forward(ad.flatten(h_0), model.global_head)
+    global_logits = mlp_forward(ad.reshape(h_0, (-1,)), model.global_head)
     x = ad.concat([local_logits, global_logits], dim=0)
     return Prediction(local_logits, global_logits, ad.sigmoid(mlp_forward(x, model.integration)))
 
@@ -107,8 +107,8 @@ def total_loss(batch, model: HmcnModel, cfg: LossConfig) -> ad.Tensor:
 def encode_batch(batch, corpus, encoder: EncoderParams, head) -> dict[int, ad.Tensor]:
     """Each record the batch touches, encoded and projected on its own."""
     return {
-        i: ad.l2_normalize(mlp_forward(ad.flatten(encode_record(corpus.records[i], encoder)),
-                                       head.mlp))
+        i: ad.l2_normalize(mlp_forward(
+            ad.reshape(encode_record(corpus.records[i], encoder), (-1,)), head.mlp))
         for i in batch.record_indices()
     }
 

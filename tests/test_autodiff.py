@@ -288,6 +288,61 @@ def test_dense_rejects_nonfinite_before_the_activation(activation, bad, where):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity", None])
+def test_vector_is_one_row_bit_for_bit(dtype, activation):
+    # a vector (k,) runs as the one-row matrix (1, k): the value and every
+    # gradient match that call, and the vector products x @ w, w @ g and
+    # outer(x, g); None is a bare matmul, else a dense layer
+    rng = np.random.default_rng(40 + len(str(activation)))
+    x_row = rng.normal(size=(1, 6)).astype(dtype)
+    w = ad.tensor(rng.normal(size=(6, 7)), dtype=dtype)
+    b = ad.tensor(rng.normal(size=7), dtype=dtype)
+    g_row = rng.normal(size=(1, 7)).astype(dtype)
+    layer = (lambda x, w, b: ad.matmul(x, w)) if activation is None else \
+        (lambda x, w, b: ad.dense(x, w, b, activation))
+    vec, (gx, gw, gb), _ = _value_and_grads(layer, ad.tensor(x_row[0], dtype), w, b,
+                                            ad.const(g_row[0], dtype))
+    row, (rx, rw, rb), _ = _value_and_grads(layer, ad.tensor(x_row, dtype), w, b,
+                                            ad.const(g_row, dtype))
+    assert vec.shape == (7,) and gx.shape == (6,)
+    assert np.array_equal(vec, row[0]) and np.array_equal(gx, rx[0])
+    assert np.array_equal(gw, rw) and (gb is rb is None or np.array_equal(gb, rb))
+    x, g = x_row[0], g_row[0]
+    z = x @ w.data + (0 if activation is None else b.data)
+    if activation == "relu":
+        vec_want, g = np.maximum(z, 0.0), g * (z > 0)
+    elif activation == "tanh":
+        vec_want = np.tanh(z)
+        g = g * (1.0 - vec_want * vec_want)
+    else:
+        vec_want = z
+    assert vec.dtype == gx.dtype == dtype and np.array_equal(vec, vec_want)
+    assert np.array_equal(gx, w.data @ g) and np.array_equal(gw, np.outer(x, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_l2_normalize_vector_is_one_row(dtype):
+    rng = np.random.default_rng(8)
+    x = ad.tensor(rng.normal(size=(1, 5)), dtype=dtype)
+    v = ad.tensor(x.data[0], dtype)
+    upstream = rng.normal(size=(1, 5)).astype(dtype)
+    grads = []
+    for t, g in ((v, upstream[0]), (x, upstream)):
+        with ad.Tape() as tape:
+            y = ad.l2_normalize(t)
+            tape.backward(ad.sum_all(ad.mul(y, ad.const(g, dtype))))
+        grads.append((y.data, t.grad))
+    (yv, gv), (yx, gx) = grads
+    assert yv.shape == gv.shape == (5,) and yv.dtype == dtype
+    assert np.array_equal(yv, yx[0]) and np.array_equal(gv, gx[0])
+    rows = rng.normal(size=(4, 5)).astype(dtype)  # rows divide by np.linalg.norm's value
+    assert np.array_equal(ad.l2_normalize(ad.tensor(rows, dtype)).data,
+                          rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    with pytest.raises(ad.NonFiniteValue, match="row 0 of 1 has zero norm"):
+        ad.l2_normalize(ad.tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_attention_shared_key_value_projection_bit_for_bit(dtype, lead):
     # k is v takes one GEMM against the k|v weights; a copy of the same
@@ -368,7 +423,7 @@ def test_every_op_passes_grad_check(f64, seed):
         "concat": lambda: ad.sum_all(ad.mul(ad.concat([a, c], dim=1),
                                             ad.concat([c, a], dim=1))),
         "reshape": lambda: ad.sum_all(ad.mul(ad.reshape(a, (3, 2)), b)),
-        "flatten": lambda: ad.sum_all(ad.flatten(a)),
+        "flatten": lambda: ad.sum_all(ad.reshape(a, (-1,))),
         "embed": lambda: ad.sum_all(ad.embed(a, [0, 1, 0])),
         "embed_2d": lambda: sq(ad.embed(a, [[0, 1], [1, 1]])),
     }

@@ -20,7 +20,7 @@ from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, main
 from hmlc.config import load_run_config
 from hmlc.hierarchy import load_hierarchy
 from hmlc.corpus import load_corpus
-from hmlc.model import total_loss, train
+from hmlc.model import predict_proba, total_loss, train
 
 BASE_INI = """\
 [paths]
@@ -322,6 +322,18 @@ def test_eval_scores_ks(ws, tmp_path, capsys):
     assert payload["ks"]["ks"] <= 0.5
 
 
+@pytest.mark.parametrize("payload", [[0.9, 0.1], {"pos": [0.1]}, {"pos": [None], "neg": [0.1]}])
+def test_eval_malformed_scores_exit_input(ws, tmp_path, capsys, payload):
+    # a list once raised TypeError and a missing key KeyError, out of main
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(payload))
+    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint",
+                 str(ws["tr1"] / "model.ckpt"), "--scores", str(scores)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lists of numbers" in err
+    assert "Traceback" not in err
+
+
 def test_eval_rejects_encoder_checkpoint(ws, capsys):
     rc = main(["eval", "--config", str(ws["ini"]), "--checkpoint",
                str(ws["pre"] / "encoder.ckpt")])
@@ -426,6 +438,25 @@ def test_infer_predictions(ws, tmp_path):
             assert obj["scores"][v] >= 0.5
     assert (out1 / "predictions.jsonl").read_bytes() == \
         (out2 / "predictions.jsonl").read_bytes()
+
+
+def test_infer_reads_null_fields_as_the_corpus_does(ws, tmp_path):
+    # infer once read a null field as the text "None"; load_corpus reads it as empty
+    obj = json.loads((ws["data"] / "test.jsonl").read_text().splitlines()[0])
+    obj["fields"]["comments"] = None
+    src = tmp_path / "null.jsonl"
+    src.write_text(json.dumps(obj) + "\n")
+    out = tmp_path / "inf"
+    ckpt = ws["tr1"] / "model.ckpt"
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(src),
+                 "--out", str(out)]) == 0
+    got = json.loads((out / "predictions.jsonl").read_text())["scores"]
+    model, _ = _restore_model(ckpt)
+    h = model.hierarchy
+    record = load_corpus(src, h).records[0]
+    assert record.fields["comments"] == ""
+    want = predict_proba(record, model)
+    assert got == {v: float(want[h.index[v]]) for v in h.labels}
 
 
 def test_infer_precision_mismatch(ws, tmp_path, capsys):
@@ -633,7 +664,7 @@ def _ini_with(ws, path, changes):
     ("hmcl", "proj_hidden", "0"), ("hmcl", "proj_dim", "0"), ("hmcl", "lr", "nan"),
     ("hmcl", "lr_decay", "-1"), ("hmcl", "max_batches", "-1"),
     ("hmcl", "contrastive_alpha", "inf"), ("loss", "lambda_reg", "inf"),
-    ("loss", "focal_gamma", "nan"),
+    ("loss", "focal_gamma", "nan"), ("model", "head_hidden", "0"), ("model", "head_hidden", "-2"),
 ])
 def test_schedule_out_of_range_exits_input(ws, tmp_path, capsys, section, key, value):
     # each once ran: batch_size -1 wrote an untrained checkpoint and exited 0,
