@@ -1,7 +1,9 @@
-"""Dense-array reverse-mode autodiff on numpy, define-by-run. Ops: matmul,
-matmul_nt, add, sub, mul, scale, shift, pow_const, log, clip, sigmoid,
-log_sigmoid, relu, dense (one MLP layer), attention (multi-head),
-l2_normalize, concat, reshape, sum_all and embed.
+"""Dense-array reverse-mode autodiff on numpy, define-by-run. Ops: matmul_nt,
+add, scale, sigmoid, dense (one MLP layer), attention (multi-head),
+l2_normalize, concat, reshape, sum_all, embed, and one op per loss: focal,
+hinge (the path regularizer) and weighted_log_sigmoid (the contrastive loss).
+Targets, weights, masks and indices reach the ops as plain arrays; every
+tensor is differentiable.
 
 Each op computes its value and hands it, with one backward closure mapping
 the value's gradient into its inputs' gradients, to ``_emit``. While a
@@ -53,12 +55,11 @@ def default_dtype() -> np.dtype:
 class Tensor:
     """A dense array plus an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "constant")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data: np.ndarray, constant: bool = False):
+    def __init__(self, data: np.ndarray):
         self.data = data
         self.grad = None
-        self.constant = constant
 
     @property
     def shape(self):
@@ -75,15 +76,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-def tensor(values, dtype=None, constant: bool = False) -> Tensor:
+def tensor(values, dtype=None) -> Tensor:
     data = np.asarray(values, dtype=dtype or _default_dtype)
     _check_finite(data)
-    return Tensor(data, constant=constant)
-
-
-def const(values, dtype=None) -> Tensor:
-    """A tensor excluded from gradient accumulation (targets, masks, selectors)."""
-    return tensor(values, dtype=dtype, constant=True)
+    return Tensor(data)
 
 
 _TAPES: list["Tape"] = []
@@ -127,8 +123,6 @@ def _check_finite(data: np.ndarray) -> None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.constant:
-        return
     if t.grad is None:
         t.grad = np.array(g)  # own a copy; g may alias another node's grad
     else:
@@ -156,23 +150,6 @@ def zero_grads(tensors) -> None:
 # arithmetic
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product (..., k) @ (k, n) as one GEMM over every leading row; a
-    vector (k,) is one row."""
-    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    k, n = b.shape
-    a2 = a.data.reshape(-1, k)
-    data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
-
-    def backward(g):
-        g2 = g.reshape(-1, n)
-        _accum(a, (g2 @ b.data.T).reshape(a.shape))
-        _accum(b, a2.T @ g2)
-
-    return _emit(data, backward)
-
-
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T for 2D operands."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -196,59 +173,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data + b.data, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"sub {a.shape} - {b.shape}")
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _emit(a.data - b.data, backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul {a.shape} * {b.shape}")
-
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _emit(a.data * b.data, backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
+def scale(a: Tensor, c) -> Tensor:
+    """``a`` times a constant: a float, or an array that broadcasts against
+    ``a`` (a 0/1 mask, say)."""
+    c = c if isinstance(c, np.ndarray) else float(c)
     return _emit(a.data * c, lambda g: _accum(a, g * c))
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    return _emit(a.data + float(c), lambda g: _accum(a, g))
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-
-    def backward(g):
-        if p != 0.0:
-            _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _emit(a.data**p, backward)
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            data = np.log(a.data)
-        except FloatingPointError as e:
-            raise NonFiniteValue("log of a non-positive value") from e
-    return _emit(data, lambda g: _accum(a, g / a.data))
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    return _emit(np.clip(a.data, lo, hi),
-                 lambda g: _accum(a, g * ((a.data > lo) & (a.data < hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +190,6 @@ def sigmoid(a: Tensor) -> Tensor:
     x = np.clip(a.data, -_SIGMOID_CLAMP, _SIGMOID_CLAMP)
     s = 1.0 / (1.0 + np.exp(-x))
     return _emit(s, lambda g: _accum(a, g * s * (1.0 - s) * (np.abs(a.data) < _SIGMOID_CLAMP)))
-
-
-def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)), computed stably; note log(1-sigmoid(x)) = log_sigmoid(-x)."""
-    return _emit(-np.logaddexp(0.0, -a.data),
-                 lambda g: _accum(a, g * np.exp(-np.logaddexp(0.0, a.data))))  # sigmoid(-x)
-
-
-def relu(a: Tensor) -> Tensor:
-    return _emit(np.maximum(a.data, 0.0), lambda g: _accum(a, g * (a.data > 0)))
 
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -454,8 +373,6 @@ def embed(table: Tensor, ids) -> Tensor:
         raise ShapeMismatch("token id outside embedding table")
 
     def backward(g):
-        if table.constant:
-            return
         grad = np.zeros(table.shape, table.data.dtype) if table.grad is None else table.grad
         # the flat view below must alias the gradient it adds into
         table.grad = grad = np.ascontiguousarray(grad)
@@ -464,6 +381,79 @@ def embed(table: Tensor, ids) -> Tensor:
                   g.reshape(-1))
 
     return _emit(table.data[ids], backward)
+
+
+# ---------------------------------------------------------------------------
+# losses: each one op that runs the numpy calls of the small-op chain it
+# replaced in the same order, so values and gradients match it bit for bit
+
+
+def focal(z: Tensor, y, alpha: float, gamma: float, eps: float) -> Tensor:
+    """−α Σ [y (1−ẑ)^γ log ẑ + (1−y) ẑ^γ log(1−ẑ)] with ẑ = clip(z, eps, 1−eps)
+    and targets ``y`` shaped like ``z``; a ``z`` outside the clamp gets no
+    gradient."""
+    y = np.asarray(y, dtype=z.data.dtype)
+    if y.shape != z.shape:
+        raise ShapeMismatch(f"focal {z.shape} vs targets {y.shape}")
+    alpha, gamma = float(alpha), float(gamma)
+    lo, hi = eps, 1.0 - eps
+    zc = np.clip(z.data, lo, hi)
+    om = zc * -1.0 + 1.0  # 1 − ẑ
+    pw1, lg1, pw2, lg2, yn = om**gamma, np.log(zc), zc**gamma, np.log(om), 1.0 - y
+    total = np.asarray((y * (pw1 * lg1) + yn * (pw2 * lg2)).sum(), dtype=z.data.dtype)
+
+    def backward(g):
+        g = g * -alpha
+        g1, g2 = g * y, g * yn
+        # the chain's order: 1−ẑ gets its log term's share before its power
+        # term's, ẑ its power term's before its log term's, then 1−ẑ's total
+        g_om = g2 * pw2 / om
+        g_zc = g1 * pw1 / zc
+        if gamma != 0.0:
+            g_zc = g2 * lg2 * gamma * zc ** (gamma - 1.0) + g_zc
+            g_om += g1 * lg1 * gamma * om ** (gamma - 1.0)
+        g_zc += g_om * -1.0
+        _accum(z, g_zc * ((z.data > lo) & (z.data < hi)))
+
+    return _emit(total * -alpha, backward)
+
+
+def hinge(z: Tensor, child, parent) -> Tensor:
+    """Σ max(0, z[..., child] − z[..., parent]) over edges and rows; the
+    gradient at a gap of exactly 0 is 0."""
+    gap = z.data[..., child] - z.data[..., parent]
+
+    def backward(g):
+        # one product with the (E, m) edge incidence: +1 at the child, −1 at the parent
+        inc = np.zeros((len(child), z.shape[-1]), dtype=z.data.dtype)
+        rows = np.arange(len(child))
+        inc[rows, child] = 1.0
+        inc[rows, parent] = -1.0
+        _accum(z, (g * (gap > 0)) @ inc)
+
+    return _emit(np.asarray(np.maximum(gap, 0.0).sum(), dtype=z.data.dtype), backward)
+
+
+def weighted_log_sigmoid(s: Tensor, c: float, w_pos, w_neg, norm: float) -> Tensor:
+    """norm · Σ [W⁺ ⊙ log σ(c·s) + W⁻ ⊙ log σ(−c·s)] for weight arrays shaped
+    like ``s``; log(1 − σ(x)) = log σ(−x)."""
+    dtype = s.data.dtype
+    w_pos, w_neg = np.asarray(w_pos, dtype=dtype), np.asarray(w_neg, dtype=dtype)
+    if w_pos.shape != s.shape or w_neg.shape != s.shape:
+        raise ShapeMismatch(f"weights {w_pos.shape}, {w_neg.shape} vs scores {s.shape}")
+    c, norm = float(c), float(norm)
+    x = s.data * c
+    neg_x = x * -1.0
+    pos = np.asarray((w_pos * -np.logaddexp(0.0, -x)).sum(), dtype=dtype)
+    neg = np.asarray((w_neg * -np.logaddexp(0.0, -neg_x)).sum(), dtype=dtype)
+
+    def backward(g):
+        g = g * norm
+        g_x = g * w_neg * np.exp(-np.logaddexp(0.0, neg_x)) * -1.0  # σ(x) = σ(−(−x))
+        g_x += g * w_pos * np.exp(-np.logaddexp(0.0, x))  # σ(−x)
+        _accum(s, g_x * c)
+
+    return _emit((pos + neg) * norm, backward)
 
 
 # ---------------------------------------------------------------------------

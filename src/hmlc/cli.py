@@ -304,13 +304,13 @@ def cmd_infer(args) -> int:
                     continue
                 try:
                     obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise TypeError("a record must be a JSON object")
+                    if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+                        raise TypeError("a record must be a JSON object with a string 'id'")
                     fields = obj.get("fields", {})
                     if not isinstance(fields, dict):
                         raise TypeError("fields must be a JSON object")
                     rec = Record(
-                        id=str(obj["id"]),
+                        id=obj["id"],
                         fields=field_texts(fields, model.cfg.encoder.fields),
                         labels=np.zeros(h.m, dtype=np.uint8),
                     )

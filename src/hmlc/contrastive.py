@@ -126,13 +126,9 @@ def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderPa
         raise EmptyBatch("no anchor in the batch has any active label")
     rows = encode_batch(batch, corpus, encoder, head, tokens)
     anchor_rows = ad.embed(rows, [col[i] for i in batch.anchors])
-    scores = ad.scale(ad.matmul_nt(anchor_rows, rows), 1.0 / cfg.contrastive_alpha)
-    dtype = rows.data.dtype
-    pos = ad.mul(ad.const(w_pos, dtype=dtype), ad.log_sigmoid(scores))
-    # log(1 − σ(z)) = log σ(−z)
-    neg = ad.mul(ad.const(w_neg, dtype=dtype), ad.log_sigmoid(ad.scale(scores, -1.0)))
-    total = ad.add(ad.sum_all(pos), ad.sum_all(neg))
-    return ad.scale(total, 1.0 / (len(batch.anchors) * corpus.hierarchy.depth))
+    scores = ad.matmul_nt(anchor_rows, rows)
+    return ad.weighted_log_sigmoid(scores, 1.0 / cfg.contrastive_alpha, w_pos, w_neg,
+                                   1.0 / (len(batch.anchors) * corpus.hierarchy.depth))
 
 
 def project_corpus(corpus: Corpus, encoder: EncoderParams,

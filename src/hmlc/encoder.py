@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor, const, default_dtype, embed, mul, reshape, tensor
+from .autodiff import Tensor, default_dtype, embed, reshape, scale, tensor
 from .corpus import DEFAULT_FIELDS, Record
 from .nn import AttentionParams, init_attention, multihead_attention
 
@@ -45,7 +45,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.heads < 1 or self.d % self.heads != 0:
-            raise ShapeMismatch(f"width {self.d} not divisible by {self.heads} heads")
+            raise EncoderError(f"heads must be >= 1 and divide d={self.d}, got {self.heads}")
         if self.d < 1 or self.max_tokens < 1 or not self.fields or self.vocab_buckets < 1:
             raise EncoderError("d >= 1, max_tokens >= 1, vocab_buckets >= 1, at least one field")
 
@@ -133,9 +133,8 @@ def encode_ids(ids: np.ndarray, keys: np.ndarray, params: EncoderParams) -> Tens
     seq = embed(params.table, ids)
     field_vecs = multihead_attention(embed(params.table, ids[:, :1]), seq, seq,
                                      params.field_attn, key_mask=keys)
-    keep = np.broadcast_to(present[:, :, None], (batch, n_fields, cfg.d))
-    hstar = mul(reshape(field_vecs, (batch, n_fields, cfg.d)),
-                const(keep, dtype=params.table.data.dtype))
+    keep = present[:, :, None].astype(params.table.data.dtype)
+    hstar = scale(reshape(field_vecs, (batch, n_fields, cfg.d)), keep)
     return multihead_attention(hstar, hstar, hstar, params.fuse_attn, key_mask=present)
 
 

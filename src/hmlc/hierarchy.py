@@ -11,6 +11,7 @@ edge file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,15 @@ class LabelHierarchy:
     @property
     def depth(self) -> int:
         return max(self.level_index) if self.level_index else 0
+
+    @cached_property
+    def parent_index(self) -> np.ndarray:
+        """Read-only (m,) array: the index of each label's parent, −1 at level
+        1. Its non-negative entries are the edges in ``edges()`` order."""
+        parent = np.array([self.index.get(self.parent[v], -1) for v in self.labels],
+                          dtype=np.intp)
+        parent.setflags(write=False)
+        return parent
 
     def __contains__(self, label: str) -> bool:
         return label in self.index
@@ -210,10 +220,9 @@ def repair_bits(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
     if bits.shape[-1:] != (h.m,):
         raise LengthMismatch(f"expected {h.m} bits per row, got shape {bits.shape}")
     out = (bits != 0).astype(np.uint8)
-    parent = np.array([h.index.get(h.parent[v], -1) for v in h.labels])
     for lvl in range(2, h.depth + 1):
         cols = np.array([h.index[v] for v in h.level_index[lvl]])
-        out[..., cols] &= out[..., parent[cols]]
+        out[..., cols] &= out[..., h.parent_index[cols]]
     return out
 
 

@@ -44,10 +44,11 @@ class LossConfig:
 
     def __post_init__(self):
         ok = (0.0 < self.focal_alpha < 1.0 and 0.0 <= self.focal_gamma < math.inf
-              and 0.0 <= self.lambda_reg < math.inf and 0.0 < self.threshold < 1.0)
+              and 0.0 <= self.lambda_reg < math.inf and 0.0 < self.threshold < 1.0
+              and 0.0 < self.clamp_eps < 0.5)  # focal never takes the log of 0
         if not ok:
             raise ValueError("focal_alpha in (0,1), focal_gamma >= 0, "
-                             "lambda_reg >= 0, threshold in (0,1)")
+                             "lambda_reg >= 0, threshold in (0,1), clamp_eps in (0,0.5)")
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.head_hidden < 1:
             raise ValueError(f"head_hidden must be >= 1, got {self.head_hidden}")
+        if self.cross_heads < 1 or self.encoder.d % self.cross_heads:
+            raise ValueError(f"cross_heads must be >= 1 and divide d={self.encoder.d}, "
+                             f"got {self.cross_heads}")
 
 
 @dataclass
@@ -71,9 +75,6 @@ class HmcnModel:
     level_heads: list[MlpParams]         # one per level, width |V^(l)|
     global_head: MlpParams
     integration: MlpParams
-    # constant selector matrices picking child/parent coordinates per edge
-    child_sel: Tensor = None
-    parent_sel: Tensor = None
 
     def named(self) -> dict[str, Tensor]:
         out = self.encoder.named("encoder")
@@ -90,31 +91,11 @@ class HmcnModel:
 @dataclass
 class Prediction:
     """Scores in level-major order, length m for one record or (B, m) for a
-    batch; no loss reads the branch likelihoods, so they are made when read."""
+    batch: the two branches' logits and the final likelihoods."""
 
     local_logits: Tensor
     global_logits: Tensor
     z_final: Tensor
-
-    @property
-    def z_local(self) -> Tensor:
-        return ad.sigmoid(self.local_logits)
-
-    @property
-    def z_global(self) -> Tensor:
-        return ad.sigmoid(self.global_logits)
-
-
-def edge_selectors(h: LabelHierarchy):
-    """(child_sel, parent_sel): m×E one-hot columns so that z @ sel gathers
-    the child/parent likelihood per edge."""
-    edges = h.edges()
-    child = np.zeros((h.m, len(edges)))
-    parent = np.zeros((h.m, len(edges)))
-    for i, (u, v) in enumerate(edges):
-        parent[h.index[u], i] = 1.0
-        child[h.index[v], i] = 1.0
-    return ad.const(child), ad.const(parent)
 
 
 def init_model(rng: np.random.Generator, h: LabelHierarchy,
@@ -124,7 +105,6 @@ def init_model(rng: np.random.Generator, h: LabelHierarchy,
     flat = len(cfg.encoder.fields) * d
     hidden = cfg.head_hidden
     m = h.m
-    child_sel, parent_sel = edge_selectors(h)
     return HmcnModel(
         hierarchy=h,
         cfg=cfg,
@@ -137,8 +117,6 @@ def init_model(rng: np.random.Generator, h: LabelHierarchy,
         ],
         global_head=init_mlp(rng, [flat, hidden, m]),
         integration=init_mlp(rng, [2 * m, 2 * m, m]),
-        child_sel=child_sel,
-        parent_sel=parent_sel,
     )
 
 
@@ -180,15 +158,13 @@ def forward_batch(records: list[Record], model: HmcnModel) -> Prediction:
     return _predict(encode_records(records, model.encoder), model)
 
 
-def path_regularization(z: Tensor, h: LabelHierarchy,
-                        selectors: tuple[Tensor, Tensor] | None = None) -> Tensor:
+def path_regularization(z: Tensor, h: LabelHierarchy) -> Tensor:
     """R = Σ_edges max(0, ẑ_child − ẑ_parent), summed over the rows of a
     (B, m) batch; zero iff no child outranks its parent."""
     if z.ndim not in (1, 2) or z.shape[-1] != h.m:
         raise LengthMismatch(f"likelihood shape {z.shape} vs m={h.m}")
-    child_sel, parent_sel = selectors if selectors is not None else edge_selectors(h)
-    gap = ad.sub(ad.matmul(z, child_sel), ad.matmul(z, parent_sel))
-    return ad.sum_all(ad.relu(gap))
+    child = np.flatnonzero(h.parent_index >= 0)  # h.edges() order
+    return ad.hinge(z, child, h.parent_index[child])
 
 
 def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -197,11 +173,7 @@ def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
     y = np.asarray(y, dtype=z.data.dtype)
     if z.ndim != 1 or y.shape != z.shape:
         raise LengthMismatch(f"focal_loss shapes {z.shape} vs {y.shape}")
-    zc = ad.clip(z, cfg.clamp_eps, 1.0 - cfg.clamp_eps)
-    one_minus = ad.shift(ad.scale(zc, -1.0), 1.0)
-    pos = ad.mul(ad.const(y), ad.mul(ad.pow_const(one_minus, cfg.focal_gamma), ad.log(zc)))
-    neg = ad.mul(ad.const(1.0 - y), ad.mul(ad.pow_const(zc, cfg.focal_gamma), ad.log(one_minus)))
-    return ad.scale(ad.sum_all(ad.add(pos, neg)), -cfg.focal_alpha)
+    return ad.focal(z, y, cfg.focal_alpha, cfg.focal_gamma, cfg.clamp_eps)
 
 
 def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
@@ -214,7 +186,7 @@ def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
     labels = np.stack([r.labels for r in batch])
     total = focal_loss(ad.reshape(z, (-1,)), labels.ravel(), cfg)
     if cfg.lambda_reg > 0.0:
-        reg = path_regularization(z, model.hierarchy, (model.child_sel, model.parent_sel))
+        reg = path_regularization(z, model.hierarchy)
         total = ad.add(total, ad.scale(reg, cfg.lambda_reg))
     return total
 

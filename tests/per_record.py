@@ -1,6 +1,7 @@
 """The per-record forward path and the per-pair contrastive loss, kept as
-the references for the batched ones, with two likelihood-space references:
-the integration MLP applied to likelihoods and one pair's probability.
+the references for the batched ones, with likelihood-space references: the
+branch likelihoods, the integration MLP applied to likelihoods and one
+pair's probability.
 
 Each record builds its own graph: one self-attention per non-empty field
 over exactly its [special ∥ tokens] rows, the special-token row taken as the
@@ -32,6 +33,8 @@ from hmlc.model import (
 )
 from hmlc.nn import mlp_forward, multihead_attention
 
+import per_op
+
 
 def stack(vectors: list[ad.Tensor]) -> ad.Tensor:
     """Equal-length vectors as the rows of one matrix."""
@@ -49,7 +52,7 @@ def encode_field(tokens: list[int], field: str, params: EncoderParams) -> FieldE
     field vector. An empty token sequence yields the zero vector."""
     cfg = params.cfg
     if not tokens:
-        zero = ad.const(np.zeros(cfg.d, dtype=params.table.data.dtype))
+        zero = ad.tensor(np.zeros(cfg.d), params.table.data.dtype)
         return FieldEmbedding(h_field=zero, present=False)
     ids = [special_id(cfg, field)] + list(tokens)
     seq = ad.embed(params.table, ids)
@@ -92,13 +95,12 @@ def forward(record, model: HmcnModel) -> Prediction:
 def total_loss(batch, model: HmcnModel, cfg: LossConfig) -> ad.Tensor:
     """Σ over the batch, record by record, of focal loss + λ·path
     regularization on ẑ."""
-    selectors = (model.child_sel, model.parent_sel)
     total = None
     for record in batch:
         z = forward(record, model).z_final
         term = focal_loss(z, record.labels, cfg)
         if cfg.lambda_reg > 0.0:
-            reg = path_regularization(z, model.hierarchy, selectors)
+            reg = path_regularization(z, model.hierarchy)
             term = ad.add(term, ad.scale(reg, cfg.lambda_reg))
         total = term if total is None else ad.add(total, term)
     return total
@@ -130,12 +132,12 @@ def contrastive_loss(batch, corpus, encoder: EncoderParams, head, cfg) -> ad.Ten
             parts = []
             if ld.positives:
                 scores = ad.matmul_nt(stack([emb[p] for p in ld.positives]), stack([s_i]))
-                parts.append(ad.sum_all(ad.log_sigmoid(ad.scale(scores, inv_alpha))))
+                parts.append(ad.sum_all(per_op.log_sigmoid(ad.scale(scores, inv_alpha))))
             negs = ld.negative_indices()
             if negs:
                 scores = ad.matmul_nt(stack([emb[p] for p in negs]), stack([s_i]))
                 # log(1 − σ(z)) = log σ(−z)
-                parts.append(ad.sum_all(ad.log_sigmoid(ad.scale(scores, -inv_alpha))))
+                parts.append(ad.sum_all(per_op.log_sigmoid(ad.scale(scores, -inv_alpha))))
             if not parts:
                 continue
             term = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
@@ -144,6 +146,16 @@ def contrastive_loss(batch, corpus, encoder: EncoderParams, head, cfg) -> ad.Ten
     if total is None:
         raise EmptyBatch("no anchor in the batch has any active label")
     return ad.scale(total, 1.0 / (len(batch.anchors) * depth))
+
+
+def z_local(pred: Prediction) -> ad.Tensor:
+    """The local branch's likelihoods, which no loss reads."""
+    return ad.sigmoid(pred.local_logits)
+
+
+def z_global(pred: Prediction) -> ad.Tensor:
+    """The global branch's likelihoods, which no loss reads."""
+    return ad.sigmoid(pred.global_logits)
 
 
 def integrate(z_local: ad.Tensor, z_global: ad.Tensor, model: HmcnModel) -> ad.Tensor:
@@ -155,8 +167,8 @@ def integrate(z_local: ad.Tensor, z_global: ad.Tensor, model: HmcnModel) -> ad.T
 
 
 def _logit(z: ad.Tensor) -> ad.Tensor:
-    one_minus = ad.shift(ad.scale(z, -1.0), 1.0)
-    return ad.sub(ad.log(z), ad.log(one_minus))
+    one_minus = per_op.shift(ad.scale(z, -1.0), 1.0)
+    return per_op.sub(per_op.log(z), per_op.log(one_minus))
 
 
 def pair_probability(s, s_prime, polarity: str, alpha: float = 0.1) -> float:

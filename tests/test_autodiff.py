@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hmlc import autodiff as ad
+from hmlc.model import LossConfig
 
 import per_layer
+import per_op
 
 
 def _t(rng, *shape, lo=-1.0, hi=1.0):
@@ -107,11 +109,14 @@ def test_attention_weight_shape_errors():
         ad.attention(_t(rng, 3, 5), x, x, wq, wk, wv, wo)
 
 
-def test_log_of_nonpositive_raises():
-    with pytest.raises(ad.NonFiniteValue):
-        ad.log(ad.tensor([1.0, -0.5]))
-    with pytest.raises(ad.NonFiniteValue):
-        ad.log(ad.tensor([0.0]))
+def test_focal_takes_no_log_of_zero():
+    # the clamp keeps ẑ and 1 − ẑ positive, so z at 0 or 1 gives a finite loss;
+    # LossConfig keeps clamp_eps inside (0, 0.5)
+    z = ad.tensor([0.0, 1.0, 0.0, 1.0])
+    assert np.isfinite(ad.focal(z, [0, 0, 1, 1], 0.25, 2.0, 1e-7).item())
+    for eps in (0.0, -1e-7, 0.5, np.nan):
+        with pytest.raises(ValueError, match="clamp_eps"):
+            LossConfig(clamp_eps=eps)
 
 
 def test_tensor_rejects_nonfinite():
@@ -129,7 +134,7 @@ def test_backward_needs_scalar():
 
 def test_no_tape_is_inference_mode():
     x = ad.tensor([1.0, 2.0])
-    y = ad.sum_all(ad.mul(x, x))
+    y = ad.sum_all(per_op.mul(x, x))
     assert y.item() == pytest.approx(5.0)
     assert x.grad is None
 
@@ -149,20 +154,13 @@ def test_nested_tapes_record_independently():
     assert float(x.grad) == pytest.approx(3.0)
 
 
-def test_constants_collect_no_grad():
-    c = ad.const([1.0, 2.0])
-    x = ad.tensor([3.0, 4.0])
-    with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.mul(c, x)))
-    assert c.grad is None
-    assert np.allclose(x.grad, [1.0, 2.0])
-
-
 def test_clip_grad_zero_outside_bounds():
-    x = ad.tensor([-1.0, 0.5, 2.0])
+    # focal clamps z to [eps, 1 − eps]: a z on or outside a bound gets exactly 0
+    eps = 0.01
+    z = ad.tensor([-1.0, 0.0, eps, 0.5, 1.0 - eps, 1.0, 2.0])
     with ad.Tape() as tape:
-        tape.backward(ad.sum_all(ad.clip(x, 0.0, 1.0)))
-    assert np.allclose(x.grad, [0.0, 1.0, 0.0])
+        tape.backward(ad.focal(z, [1, 0, 1, 1, 0, 1, 0], 0.25, 2.0, eps))
+    assert np.flatnonzero(z.grad).tolist() == [3]
 
 
 def test_embed_scatter_add_repeated_ids():
@@ -187,7 +185,7 @@ def test_embed_flat_scatter_matches_2d_add_at(dtype):
         table = ad.Tensor(rng.normal(size=(rows, d)).astype(dtype))
         table.grad = start.copy(order="F" if case % 2 else "C")
         with ad.Tape() as tape:
-            tape.backward(ad.sum_all(ad.mul(ad.const(upstream, dtype=dtype), ad.embed(table, ids))))
+            tape.backward(ad.sum_all(per_op.mul(ad.tensor(upstream, dtype), ad.embed(table, ids))))
         want = start.copy()
         np.add.at(want, ids, upstream)
         assert table.grad.dtype == dtype
@@ -215,16 +213,16 @@ def test_set_default_dtype_validation():
 def test_matmul_shape_errors():
     a = ad.tensor(np.zeros((2, 3)))
     with pytest.raises(ad.ShapeMismatch):
-        ad.matmul(a, ad.tensor(np.zeros((4, 2))))
+        per_op.matmul(a, ad.tensor(np.zeros((4, 2))))
     with pytest.raises(ad.ShapeMismatch):
-        ad.matmul(a, ad.tensor(np.zeros(3)))  # a matrix times a vector: use (3, 1)
+        per_op.matmul(a, ad.tensor(np.zeros(3)))  # a matrix times a vector: use (3, 1)
     with pytest.raises(ad.ShapeMismatch):
         ad.matmul_nt(a, ad.tensor(np.zeros((2, 4))))
     cube = ad.tensor(np.zeros((2, 2, 3)))
     with pytest.raises(ad.ShapeMismatch):
-        ad.matmul(cube, ad.tensor(np.zeros((2, 2))))
+        per_op.matmul(cube, ad.tensor(np.zeros((2, 2))))
     with pytest.raises(ad.ShapeMismatch):
-        ad.matmul(cube, ad.tensor(np.zeros((2, 3, 2))))  # batched products are attention's
+        per_op.matmul(cube, ad.tensor(np.zeros((2, 3, 2))))  # batched products are attention's
     with pytest.raises(ad.ShapeMismatch):
         ad.matmul_nt(cube, cube)
     with pytest.raises(ad.ShapeMismatch):
@@ -248,7 +246,7 @@ def _value_and_grads(layer, x, w, b, upstream):
     ad.zero_grads(params)
     with ad.Tape() as tape:
         y = layer(x, w, b)
-        tape.backward(ad.sum_all(ad.mul(y, upstream)))
+        tape.backward(ad.sum_all(per_op.mul(y, upstream)))
     grads = [t.grad for t in params]
     ad.zero_grads(params)
     return y.data, grads, len(tape.nodes)
@@ -262,7 +260,7 @@ def test_dense_matches_three_ops_bit_for_bit(dtype, activation, lead):
     x = ad.tensor(rng.normal(size=lead + (6,)), dtype=dtype)
     w = ad.tensor(rng.normal(size=(6, 7)), dtype=dtype)
     b = ad.tensor(rng.normal(size=7), dtype=dtype)
-    upstream = ad.const(rng.normal(size=lead + (7,)), dtype=dtype)
+    upstream = ad.tensor(rng.normal(size=lead + (7,)), dtype=dtype)
     got, got_grads, nodes = _value_and_grads(
         lambda *a: ad.dense(*a, activation), x, w, b, upstream)
     want, want_grads, _ = _value_and_grads(
@@ -298,12 +296,12 @@ def test_vector_is_one_row_bit_for_bit(dtype, activation):
     w = ad.tensor(rng.normal(size=(6, 7)), dtype=dtype)
     b = ad.tensor(rng.normal(size=7), dtype=dtype)
     g_row = rng.normal(size=(1, 7)).astype(dtype)
-    layer = (lambda x, w, b: ad.matmul(x, w)) if activation is None else \
+    layer = (lambda x, w, b: per_op.matmul(x, w)) if activation is None else \
         (lambda x, w, b: ad.dense(x, w, b, activation))
     vec, (gx, gw, gb), _ = _value_and_grads(layer, ad.tensor(x_row[0], dtype), w, b,
-                                            ad.const(g_row[0], dtype))
+                                            ad.tensor(g_row[0], dtype))
     row, (rx, rw, rb), _ = _value_and_grads(layer, ad.tensor(x_row, dtype), w, b,
-                                            ad.const(g_row, dtype))
+                                            ad.tensor(g_row, dtype))
     assert vec.shape == (7,) and gx.shape == (6,)
     assert np.array_equal(vec, row[0]) and np.array_equal(gx, rx[0])
     assert np.array_equal(gw, rw) and (gb is rb is None or np.array_equal(gb, rb))
@@ -330,7 +328,7 @@ def test_l2_normalize_vector_is_one_row(dtype):
     for t, g in ((v, upstream[0]), (x, upstream)):
         with ad.Tape() as tape:
             y = ad.l2_normalize(t)
-            tape.backward(ad.sum_all(ad.mul(y, ad.const(g, dtype))))
+            tape.backward(ad.sum_all(per_op.mul(y, ad.tensor(g, dtype))))
         grads.append((y.data, t.grad))
     (yv, gv), (yx, gx) = grads
     assert yv.shape == gv.shape == (5,) and yv.dtype == dtype
@@ -340,6 +338,84 @@ def test_l2_normalize_vector_is_one_row(dtype):
                           rows / np.linalg.norm(rows, axis=1, keepdims=True))
     with pytest.raises(ad.NonFiniteValue, match="row 0 of 1 has zero norm"):
         ad.l2_normalize(ad.tensor(np.zeros(3)))
+
+
+# ---------------------------------------------------------------------------
+# fused losses against the chains in per_op.py
+
+
+def _loss_and_grad(loss, x, upstream):
+    """The value of ``loss(x)`` and x's gradient when ``upstream`` reaches it."""
+    x.grad = None
+    with ad.Tape() as tape:
+        out = loss(x)
+        tape.backward(ad.scale(out, upstream))
+    return np.asarray(out.data), x.grad
+
+
+def _assert_same_bits(fused, chain, x, upstream):
+    got, got_grad = _loss_and_grad(fused, x, upstream)
+    want, want_grad = _loss_and_grad(chain, x, upstream)
+    assert got.dtype == want.dtype == x.data.dtype and np.array_equal(got, want)
+    assert got_grad.dtype == x.data.dtype and np.array_equal(got_grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gamma", [0.0, 1.5, 2.0])
+def test_focal_matches_chain_bit_for_bit(dtype, gamma):
+    # z exactly at both clamp bounds, outside them and inside; soft targets
+    # send gradient down both branches, so their order of arrival shows
+    rng = np.random.default_rng(50 + int(10 * gamma))
+    eps = 1e-7
+    z = rng.uniform(0.0, 1.0, size=60).astype(dtype)
+    z[:6] = [eps, 1.0 - eps, 0.0, 1.0, -0.5, 1.5]
+    y = rng.integers(0, 2, size=60).astype(float)
+    y[::3] = rng.uniform(0.0, 1.0, size=20)
+    for upstream in (1.0, -0.37):
+        _assert_same_bits(lambda t: ad.focal(t, y, 0.25, gamma, eps),
+                          lambda t: per_op.focal(t, y, 0.25, gamma, eps),
+                          ad.tensor(z, dtype), upstream)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (8,)])
+def test_hinge_matches_chain_bit_for_bit(demo, dtype, lead):
+    # on the demo taxonomy a label's gradient adds at most three terms of one
+    # magnitude, which every summation order rounds alike
+    rng = np.random.default_rng(60 + len(lead))
+    child = np.flatnonzero(demo.parent_index >= 0)
+    parent = demo.parent_index[child]
+    z = rng.uniform(0.0, 1.0, size=lead + (demo.m,)).astype(dtype)
+    z[..., child[0]] = z[..., parent[0]]  # one gap exactly 0: the kink
+    z[..., child[1]] = z[..., parent[1]] + 0.25
+    for upstream in (1.0, 0.7):
+        _assert_same_bits(lambda t: ad.hinge(t, child, parent),
+                          lambda t: per_op.hinge(t, child, parent),
+                          ad.tensor(z, dtype), upstream)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weighted_log_sigmoid_matches_chain_bit_for_bit(dtype):
+    # repeated draws (weights that add up), all-zero weight rows and |c·s| > 30
+    rng = np.random.default_rng(70)
+    s = rng.uniform(-1.0, 1.0, size=(5, 9)).astype(dtype)
+    s[0, :3] = [4.0, -4.0, 3.5]
+    draws = rng.integers(0, 3, size=(2, 5, 9))
+    draws[:, 2] = 0
+    w_pos, w_neg = draws / rng.integers(1, 4, size=(2, 5, 1))
+    for upstream in (1.0, -0.3):
+        _assert_same_bits(lambda t: ad.weighted_log_sigmoid(t, 10.0, w_pos, w_neg, 1.0 / 15),
+                          lambda t: per_op.weighted_log_sigmoid(t, 10.0, w_pos, w_neg, 1.0 / 15),
+                          ad.tensor(s, dtype), upstream)
+
+
+def test_fused_loss_shape_errors():
+    z = ad.tensor(np.full(3, 0.5))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.focal(z, [1, 0], 0.25, 2.0, 1e-7)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.weighted_log_sigmoid(ad.tensor(np.zeros((2, 3))), 1.0, np.zeros((2, 3)),
+                                np.zeros((3, 2)), 1.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -355,14 +431,14 @@ def test_attention_shared_key_value_projection_bit_for_bit(dtype, lead):
     kv = ad.tensor(rng.normal(size=lead + (5, 8)), dtype=dtype)
     mask = np.ones(lead + (5,), dtype=bool)
     mask[..., -1] = False
-    upstream = ad.const(rng.normal(size=q.shape), dtype=dtype)
+    upstream = ad.tensor(rng.normal(size=q.shape), dtype=dtype)
     params = [q, kv, *wq, *wk, *wv, wo]
 
     def run(v):
         ad.zero_grads(params + [v])
         with ad.Tape() as tape:
             y = ad.attention(q, kv, v, wq, wk, wv, wo, key_mask=mask)
-            tape.backward(ad.sum_all(ad.mul(y, upstream)))
+            tape.backward(ad.sum_all(per_op.mul(y, upstream)))
         return y.data, [t.grad for t in params], v.grad
 
     shared, shared_grads, _ = run(kv)
@@ -380,7 +456,7 @@ def test_attention_shared_key_value_projection_bit_for_bit(dtype, lead):
 
 def test_sum_of_squares_grad_exact(f64):
     x = ad.tensor(np.linspace(-2, 2, 7))
-    report = ad.grad_check(lambda: ad.sum_all(ad.mul(x, x)), [x])
+    report = ad.grad_check(lambda: ad.sum_all(per_op.mul(x, x)), [x])
     assert report.ok
     assert report.max_abs_err < 1e-6
 
@@ -395,40 +471,49 @@ def test_every_op_passes_grad_check(f64, seed):
     pos = _t(rng, 4, lo=0.3, hi=2.0)      # keep log/pow/l2 away from kinks
     cube = _t(rng, 2, 2, 3)   # a batch of two 2x3 matrices
     bias = _t(rng, 2)
-    sq = lambda y: ad.sum_all(ad.mul(y, y))
+    prob = _t(rng, 4, lo=0.05, hi=0.95)  # inside focal's clamp
+    mask = (rng.uniform(size=(2, 2, 1)) < 0.5).astype(float)
+    w_pos, w_neg = rng.uniform(0.0, 1.0, size=(2, 2, 3))
+    sq = lambda y: ad.sum_all(per_op.mul(y, y))
 
     cases = {
-        "matmul_22": lambda: ad.sum_all(ad.matmul(a, b)),
-        "matmul_12": lambda: ad.sum_all(ad.matmul(vec, b)),
+        "matmul_22": lambda: ad.sum_all(per_op.matmul(a, b)),
+        "matmul_12": lambda: ad.sum_all(per_op.matmul(vec, b)),
         "matmul_nt": lambda: ad.sum_all(ad.matmul_nt(a, c)),
-        "matmul_32": lambda: sq(ad.matmul(cube, b)),
+        "matmul_32": lambda: sq(per_op.matmul(cube, b)),
         "add_bias_3d": lambda: sq(per_layer.add(cube, vec)),
         "add": lambda: ad.sum_all(ad.add(a, c)),
         "add_bias": lambda: ad.sum_all(per_layer.add(a, vec)),
         "dense_1d_relu": lambda: sq(ad.dense(vec, b, bias, "relu")),
         "dense_2d_tanh": lambda: sq(ad.dense(a, b, bias, "tanh")),
         "dense_3d": lambda: sq(ad.dense(cube, b, bias)),
-        "sub": lambda: ad.sum_all(ad.sub(a, c)),
-        "mul": lambda: ad.sum_all(ad.mul(a, c)),
-        "scale_shift": lambda: ad.sum_all(ad.shift(ad.scale(a, -1.7), 0.4)),
-        "pow": lambda: ad.sum_all(ad.pow_const(pos, 2.5)),
-        "log": lambda: ad.sum_all(ad.log(pos)),
-        "clip": lambda: ad.sum_all(ad.clip(pos, 0.01, 10.0)),
+        "sub": lambda: ad.sum_all(per_op.sub(a, c)),
+        "mul": lambda: ad.sum_all(per_op.mul(a, c)),
+        "scale_shift": lambda: ad.sum_all(per_op.shift(ad.scale(a, -1.7), 0.4)),
+        "scale_mask": lambda: sq(ad.scale(cube, mask)),
+        "pow": lambda: ad.sum_all(per_op.pow_const(pos, 2.5)),
+        "log": lambda: ad.sum_all(per_op.log(pos)),
+        "clip": lambda: ad.sum_all(per_op.clip(pos, 0.01, 10.0)),
         "sigmoid": lambda: ad.sum_all(ad.sigmoid(a)),
-        "log_sigmoid": lambda: ad.sum_all(ad.log_sigmoid(a)),
-        "relu": lambda: ad.sum_all(ad.relu(ad.shift(pos, 0.05))),
+        "log_sigmoid": lambda: ad.sum_all(per_op.log_sigmoid(a)),
+        "relu": lambda: ad.sum_all(per_op.relu(per_op.shift(pos, 0.05))),
         "tanh": lambda: ad.sum_all(per_layer.tanh(a)),
-        "l2_norm_1d": lambda: ad.sum_all(ad.mul(ad.l2_normalize(pos), pos)),
-        "l2_norm_2d": lambda: ad.sum_all(ad.mul(ad.l2_normalize(a), c)),
-        "concat": lambda: ad.sum_all(ad.mul(ad.concat([a, c], dim=1),
-                                            ad.concat([c, a], dim=1))),
-        "reshape": lambda: ad.sum_all(ad.mul(ad.reshape(a, (3, 2)), b)),
+        "l2_norm_1d": lambda: ad.sum_all(per_op.mul(ad.l2_normalize(pos), pos)),
+        "l2_norm_2d": lambda: ad.sum_all(per_op.mul(ad.l2_normalize(a), c)),
+        "concat": lambda: ad.sum_all(per_op.mul(ad.concat([a, c], dim=1),
+                                                ad.concat([c, a], dim=1))),
+        "reshape": lambda: ad.sum_all(per_op.mul(ad.reshape(a, (3, 2)), b)),
         "flatten": lambda: ad.sum_all(ad.reshape(a, (-1,))),
         "embed": lambda: ad.sum_all(ad.embed(a, [0, 1, 0])),
         "embed_2d": lambda: sq(ad.embed(a, [[0, 1], [1, 1]])),
+        "focal": lambda: ad.focal(prob, [1, 0, 0, 1], 0.25, 1.5, 1e-7),
+        "focal_gamma_0": lambda: ad.focal(prob, [0, 1, 1, 0], 0.4, 0.0, 1e-7),
+        "hinge_1d": lambda: ad.hinge(vec, [1, 2], [0, 0]),
+        "hinge_2d": lambda: ad.hinge(a, [1, 2], [0, 1]),
+        "weighted_log_sigmoid": lambda: ad.weighted_log_sigmoid(a, 1.7, w_pos, w_neg, 0.3),
     }
     for name, f in cases.items():
-        report = ad.grad_check(f, [a, b, c, vec, pos, cube, bias])
+        report = ad.grad_check(f, [a, b, c, vec, pos, cube, bias, prob])
         assert report.ok, f"{name} (seed {seed}): {report}"
 
 
@@ -441,7 +526,7 @@ def test_attention_passes_grad_check(f64, seed):
     q, kv, other = _t(rng, 2, 2, 3), _t(rng, 2, 3, 3), _t(rng, 3, 3)
     row = _t(rng, 1, 3)
     mask = np.array([[True, False, True], [True, True, False]])
-    sq = lambda y: ad.sum_all(ad.mul(y, y))
+    sq = lambda y: ad.sum_all(per_op.mul(y, y))
     cases = {
         "batched_masked": lambda: sq(ad.attention(q, kv, kv, wq, wk, wv, wo, mask)),
         "self_2d": lambda: sq(ad.attention(other, other, other, wq, wk, wv, wo)),

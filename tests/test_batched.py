@@ -78,7 +78,7 @@ def test_forward_batch_matches_per_record(setup):
     for i, record in enumerate(records):
         want = per_record.forward(record, model)
         single = forward(record, model)
-        for field in ("z_local", "z_global", "z_final"):
+        for field in ("local_logits", "global_logits", "z_final"):
             ref = getattr(want, field).data
             np.testing.assert_allclose(getattr(batch, field).data[i], ref, rtol=0, atol=TOL)
             np.testing.assert_allclose(getattr(single, field).data, ref, rtol=0, atol=TOL)

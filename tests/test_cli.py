@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
+import io
 import json
 import logging
 import warnings
@@ -535,6 +537,62 @@ def test_infer_skips_fields_that_are_not_objects(ws, tmp_path, capsys):
     assert main(argv + ["--strict"]) == 2
 
 
+def test_infer_skips_ids_that_are_not_strings(ws, tmp_path, capsys):
+    # infer once wrote the ids "None" and "5" here; load_corpus rejects both
+    bad = tmp_path / "ids.jsonl"
+    bad.write_text("\n".join(json.dumps({"id": rid, "fields": {"name": "alpha beta"}})
+                             for rid in (None, 5, "ok")) + "\n")
+    out = tmp_path / "inf"
+    argv = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+            "--input", str(bad), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.count("warning: skipped line") == 2
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["ok"]
+    assert main(argv + ["--strict"]) == 2
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=6)
+_INFER_LINE = st.one_of(
+    st.fixed_dictionaries({"id": st.text(max_size=6) | _JSON, "fields": st.fixed_dictionaries(
+        {}, optional={f: st.one_of(st.text(max_size=20), _JSON)
+                      for f in ("name", "description", "comments", "other")})}),
+    st.fixed_dictionaries({}, optional={"id": _JSON, "fields": _JSON}),
+    _JSON,
+).map(json.dumps) | st.text(max_size=20)
+
+
+def _json_or_none(line):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(_INFER_LINE, max_size=6), strict=st.booleans())
+def test_fuzzed_infer_lines_predict_or_warn(ws, tmp_path_factory, lines, strict):
+    # every non-blank line yields one prediction or one warning; exit 0, or 2
+    # under --strict when a line was skipped; never a traceback
+    lines = [line.replace("\n", " ").replace("\r", " ") for line in lines]
+    root = tmp_path_factory.mktemp("infer_fuzz")
+    src = root / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"), "--input", str(src),
+                     "--out", str(root / "out")] + ["--strict"] * strict)
+    predicted = [json.loads(line)["id"]
+                 for line in (root / "out" / "predictions.jsonl").read_text().splitlines()]
+    warned = err.getvalue().count("warning: skipped line")
+    assert len(predicted) + warned == sum(bool(line.strip()) for line in lines)
+    assert set(predicted) <= {obj["id"] for obj in map(_json_or_none, lines)
+                              if isinstance(obj, dict) and isinstance(obj.get("id"), str)}
+    assert code == (2 if strict and warned else 0)
+
+
 @pytest.mark.parametrize("keep", [9, 15])
 def test_infer_truncated_checkpoint(ws, tmp_path, capsys, keep):
     # cut inside the 8-byte header length that follows the 8-byte magic
@@ -665,10 +723,13 @@ def _ini_with(ws, path, changes):
     ("hmcl", "lr_decay", "-1"), ("hmcl", "max_batches", "-1"),
     ("hmcl", "contrastive_alpha", "inf"), ("loss", "lambda_reg", "inf"),
     ("loss", "focal_gamma", "nan"), ("model", "head_hidden", "0"), ("model", "head_hidden", "-2"),
+    ("encoder", "heads", "0"), ("encoder", "heads", "3"), ("model", "cross_heads", "0"),
+    ("model", "cross_heads", "3"),
 ])
 def test_schedule_out_of_range_exits_input(ws, tmp_path, capsys, section, key, value):
     # each once ran: batch_size -1 wrote an untrained checkpoint and exited 0,
-    # a zero decay period ended in ZeroDivisionError, proj_dim 0 in exit 1
+    # a zero decay period ended in ZeroDivisionError, proj_dim 0 in exit 1,
+    # heads that do not divide d in exit 3 with no key named
     ini = _ini_with(ws, tmp_path / "bad.ini", {(section, key): value})
     command = "pretrain" if section == "hmcl" else "train"
     out = tmp_path / "out"

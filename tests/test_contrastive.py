@@ -180,6 +180,20 @@ def test_loss_gradient_check(f64):
     ad.grad_check(f, list(params.values())).assert_ok()
 
 
+def test_pretrain_step_tape_node_count(demo, demo_corpus):
+    # the encoder (two gathers, field attention, reshape, empty-field mask,
+    # fusion attention), the projection (flatten, two dense, l2_normalize),
+    # the anchor gather, the score product, the loss op and the negation
+    model = init_model(np.random.default_rng(0), demo, ModelConfig())
+    head = init_projection(np.random.default_rng(1), 3 * 16, 32, 16)
+    cfg = HmclConfig(strategy="sibling", repeats_per_level=(1, 2, 3), batch_size=4)
+    batch = build_batch(demo_corpus, [0, 1, 2, 3], cfg.repeats_per_level, cfg.strategy,
+                        np.random.default_rng(2))
+    with ad.Tape() as tape:
+        ad.scale(contrastive_loss(batch, demo_corpus, model.encoder, head, cfg), -1.0)
+    assert len(tape.nodes) == 14
+
+
 def test_loss_requires_anchors():
     _, corpus, model = _tiny_setup()
     head = init_projection(np.random.default_rng(6), 8, 4, 4)

@@ -78,9 +78,9 @@ def test_special_ids():
 
 
 def test_config_validation():
-    with pytest.raises(ad.ShapeMismatch):
+    with pytest.raises(EncoderError, match="heads"):
         EncoderConfig(d=9, heads=2)
-    with pytest.raises(ad.ShapeMismatch):
+    with pytest.raises(EncoderError, match="heads"):
         EncoderConfig(d=8, heads=0)  # not a ZeroDivisionError
     with pytest.raises(EncoderError):
         EncoderConfig(d=0, heads=1)

@@ -20,7 +20,6 @@ from hmlc.model import (
     NonFiniteLoss,
     TrainConfig,
     count_violations,
-    edge_selectors,
     evaluate,
     focal_loss,
     forward,
@@ -34,7 +33,7 @@ from hmlc.model import (
 )
 from hmlc.synthetic import make_synthetic_corpus
 
-from per_record import integrate
+from per_record import integrate, z_global, z_local
 
 SMALL_ENC = EncoderConfig(vocab_buckets=64, d=8, heads=2, max_tokens=8)
 SMALL_CFG = ModelConfig(encoder=SMALL_ENC, head_hidden=8, cross_heads=2)
@@ -81,7 +80,7 @@ def test_head_widths_match_level_sizes(demo, demo_model):
 
 def test_forward_outputs(demo, demo_model, demo_corpus):
     pred = forward(demo_corpus.records[0], demo_model)
-    for z in (pred.z_local, pred.z_global, pred.z_final):
+    for z in (z_local(pred), z_global(pred), pred.z_final):
         assert z.shape == (demo.m,)
         assert np.all((z.data > 0) & (z.data < 1))
 
@@ -91,8 +90,8 @@ def test_zeroed_heads_give_half(demo, demo_model, demo_corpus):
         for t in [*head.weights, *head.biases]:
             t.data[:] = 0.0
     pred = forward(demo_corpus.records[0], demo_model)
-    assert np.allclose(pred.z_local.data, 0.5, atol=1e-6)
-    assert np.allclose(pred.z_global.data, 0.5, atol=1e-6)
+    assert np.allclose(z_local(pred).data, 0.5, atol=1e-6)
+    assert np.allclose(z_global(pred).data, 0.5, atol=1e-6)
 
 
 def test_integrate_averages_logits(demo, demo_model):
@@ -139,15 +138,13 @@ def test_tape_node_counts(demo, demo_model, demo_corpus):
     # MLP layer (prior, three level heads, global head, integration: 12),
     # 4 flattening reshapes, 2 concats and the final sigmoid
     with ad.Tape() as tape:
-        pred = forward(demo_corpus.records[0], demo_model)
+        forward(demo_corpus.records[0], demo_model)
     assert len(tape.nodes) == 28
-    with ad.Tape() as tape:
-        pred.z_local, pred.z_global  # branch likelihoods: one sigmoid each, when read
-    assert len(tape.nodes) == 2
-    # a train step: the batch's forward pass (no reshape to one record) and the loss
+    # a train step: the batch's forward pass (no reshape to one record: 27
+    # nodes), the focal and hinge ops, λ's scale and the sum
     with ad.Tape() as tape:
         total_loss(demo_corpus.records[:8], demo_model, LossConfig())
-    assert len(tape.nodes) == 49
+    assert len(tape.nodes) == 32
 
 
 # ------------------------------------------------------- path regularization
@@ -178,14 +175,13 @@ def test_path_reg_zero_cases(demo):
 
 def test_path_reg_matches_brute_force(demo):
     rng = np.random.default_rng(2)
-    selectors = edge_selectors(demo)
     for _ in range(50):
         z = rng.uniform(size=demo.m)
         expected = sum(
             max(0.0, z[demo.index[v]] - z[demo.index[u]])
             for u, v in demo.edges()
         )
-        got = path_regularization(ad.tensor(z), demo, selectors).item()
+        got = path_regularization(ad.tensor(z), demo).item()
         assert got == pytest.approx(expected, abs=1e-5)
 
 
@@ -269,6 +265,15 @@ def test_loss_config_validation():
         LossConfig(lambda_reg=-0.5)
     with pytest.raises(ValueError):
         LossConfig(threshold=1.0)
+    with pytest.raises(ValueError, match="clamp_eps"):
+        LossConfig(clamp_eps=0.5)
+
+
+def test_model_config_validation():
+    for bad in (0, 3):  # d = 16
+        with pytest.raises(ValueError, match="cross_heads"):
+            ModelConfig(cross_heads=bad)
+    assert ModelConfig(cross_heads=4).cross_heads == 4
 
 
 # -------------------------------------------------------------- thresholding

@@ -15,6 +15,7 @@ from hmlc.nn import (
 )
 
 import per_head
+import per_op
 
 
 def _identity_mlp(d):
@@ -173,7 +174,7 @@ def _attention_value_and_grads(attend, q, k, v, p, mask, w):
     ad.zero_grads(params)
     with ad.Tape() as tape:
         y = attend(q, k, v, p, key_mask=mask)
-        tape.backward(ad.sum_all(ad.mul(y, w)))
+        tape.backward(ad.sum_all(per_op.mul(y, w)))
     grads = [t.grad.copy() for t in params]
     ad.zero_grads(params)
     return y.data, grads, len(tape.nodes)
@@ -198,7 +199,7 @@ def test_attention_op_matches_per_head(f64, heads, batch, keys, masked, shared):
         mask[..., 1:] = rng.random(batch + (keys - 1,)) < 0.5
         if keys > 1:
             mask[..., -1] = False  # padding at the end of every matrix
-    w = ad.const(rng.normal(size=q.shape))
+    w = ad.tensor(rng.normal(size=q.shape))
     got, got_grads, nodes = _attention_value_and_grads(multihead_attention, q, k, v, p, mask, w)
     want, want_grads, _ = _attention_value_and_grads(
         per_head.multihead_attention, q, k, v, p, mask, w)
