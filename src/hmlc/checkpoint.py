@@ -90,15 +90,20 @@ def load_checkpoint(path, expect_config_hash: str | None = None):
                 f"({str(header.get('config_hash'))[:12]}… vs expected {expect_config_hash[:12]}…)")
         payload = f.read()
     arrays = {}
+    offset = 0  # each array starts where the one before it ended
     try:
         for ent in header["arrays"]:
             dtype = _DTYPE_CODES.get(ent["dtype"])
             if dtype is None:
                 raise CheckpointError(f"{path}: unsupported dtype {ent['dtype']!r}")
-            raw = payload[ent["offset"]:ent["offset"] + ent["nbytes"]]
+            if ent["offset"] != offset:
+                raise CheckpointError(f"{path}: array {ent['name']!r} is at offset "
+                                      f"{ent['offset']!r}, expected {offset}")
+            raw = payload[offset:offset + ent["nbytes"]]
             if len(raw) != ent["nbytes"]:
                 raise CheckpointError(f"{path}: truncated array {ent['name']!r}")
             arrays[ent["name"]] = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"]).copy()
+            offset += ent["nbytes"]
     except (KeyError, TypeError) as e:  # a field missing or of the wrong type
         raise CheckpointError(f"{path}: malformed array table ({e!r})") from e
     return arrays, header

@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import CheckpointError, ConfigHashMismatch, load_checkpoint, save_checkpoint
 from .config import (
+    PRECISIONS,
     ConfigError,
     RunConfig,
     canonical_json,
@@ -34,8 +35,9 @@ from .config import (
     model_scope,
     scope_hash,
 )
-from .contrastive import pretrain
-from .corpus import Corpus, CorpusError, Record, field_texts, load_corpus, write_corpus
+from .contrastive import HmclConfig, pretrain
+from .corpus import (Corpus, CorpusError, MalformedLine, Record, load_corpus, parse_line,
+                     write_corpus)
 from .encoder import AllFieldsEmpty, EncoderConfig
 from .hierarchy import HierarchyError, LabelHierarchy, load_hierarchy, parse_hierarchy, repair_bits
 from .metrics import MetricsError, ks_statistic
@@ -298,36 +300,26 @@ def cmd_infer(args) -> int:
     skipped = 0
     lines_out = []
     with _sidecar(out):
-        with open(args.input, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
+        for lineno, raw in enumerate(Path(args.input).read_bytes().splitlines(), start=1):
+            try:
+                parsed = parse_line(raw, model.cfg.encoder.fields)
+                if parsed is None:
                     continue
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-                        raise TypeError("a record must be a JSON object with a string 'id'")
-                    fields = obj.get("fields", {})
-                    if not isinstance(fields, dict):
-                        raise TypeError("fields must be a JSON object")
-                    rec = Record(
-                        id=obj["id"],
-                        fields=field_texts(fields, model.cfg.encoder.fields),
-                        labels=np.zeros(h.m, dtype=np.uint8),
-                    )
-                    pred = forward(rec, model)
-                except (KeyError, ValueError, TypeError, AllFieldsEmpty) as e:
-                    skipped += 1
-                    print(f"warning: skipped line {lineno}: {e}", file=sys.stderr)
-                    continue
-                z = pred.z_final.data
-                bits = (z >= loss_cfg.threshold).astype(np.uint8)
-                if args.repair:
-                    bits = repair_bits(h, bits)
-                lines_out.append(json.dumps({
-                    "id": rec.id,
-                    "labels": [v for v in h.labels if bits[h.index[v]]],
-                    "scores": {v: float(z[h.index[v]]) for v in h.labels},
-                }, sort_keys=True))
+                obj, text = parsed
+                pred = forward(Record(obj["id"], text, np.zeros(h.m, dtype=np.uint8)), model)
+            except (MalformedLine, AllFieldsEmpty) as e:
+                skipped += 1
+                print(f"warning: skipped line {args.input}:{lineno}: {e}", file=sys.stderr)
+                continue
+            z = pred.z_final.data
+            bits = (z >= loss_cfg.threshold).astype(np.uint8)
+            if args.repair:
+                bits = repair_bits(h, bits)
+            lines_out.append(json.dumps({
+                "id": obj["id"],
+                "labels": [v for v in h.labels if bits[h.index[v]]],
+                "scores": {v: float(z[h.index[v]]) for v in h.labels},
+            }, sort_keys=True))
         text = "".join(s + "\n" for s in lines_out)
         if out is not None:
             (out / "predictions.jsonl").write_text(text)
@@ -353,19 +345,17 @@ def cmd_sample_audit(args) -> int:
         if args.seed is None:
             raise ConfigError("sample-audit requires --seed")
         h = load_hierarchy(args.hierarchy)
-        strategy = args.strategy or "sibling"
+        strategy = args.strategy or HmclConfig.strategy
         seed = args.seed
         corpus_path = args.corpus
-        fields = EncoderConfig().fields
-    if args.strategy:
-        strategy = args.strategy
+        fields = EncoderConfig.fields
     out = _out_dir(args.out)
     with _sidecar(out):
         label_counts = audit_label_draws(h, strategy, args.draws, seed)
         if out is not None:
             write_audit_csv(out / "label_stage.csv", label_counts, strategy, stage="label")
         if corpus_path:
-            corpus = load_corpus(corpus_path, h, fields=fields)
+            corpus = load_corpus(corpus_path, h, fields=fields, repair=args.repair)
             inst_counts = audit_instance_draws(corpus, strategy, args.draws, seed)
             if out is not None:
                 write_audit_csv(out / "instance_stage.csv", inst_counts, strategy,
@@ -381,22 +371,25 @@ def cmd_sample_audit(args) -> int:
 
 
 def _overrides(args) -> dict:
-    return {
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "strategy": getattr(args, "strategy", None),
-        "precision": getattr(args, "precision", None),
-    }
+    """The flags that win over the INI key of the same name."""
+    return {k: getattr(args, k, None) for k in ("seed", "out", "strategy", "precision")}
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="INI run configuration")
-    sp.add_argument("--seed", type=int, help="run seed (mandatory here or in config)")
-    sp.add_argument("--out", help="output directory for artifacts")
-    sp.add_argument("--strategy", choices=STRATEGIES, help="negative sampling strategy")
-    sp.add_argument("--repair", action="store_true",
-                    help="activate ancestor repair on corpus load / prediction output")
-    sp.add_argument("--precision", choices=("f32", "f64"), help="float width")
+# flags that several subcommands read; each subcommand names the ones it takes
+_SHARED_FLAGS = {
+    "--config": dict(help="INI run configuration"),
+    "--seed": dict(type=int, help="run seed (mandatory here or in config)"),
+    "--out": dict(help="output directory for artifacts"),
+    "--strategy": dict(choices=STRATEGIES, help="negative sampling strategy"),
+    "--repair": dict(action="store_true",
+                     help="activate ancestor repair on corpus load / prediction output"),
+    "--precision": dict(choices=PRECISIONS, help="float width"),
+}
+
+
+def _add_shared(sp, *flags: str) -> None:
+    for flag in flags:
+        sp.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,33 +399,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pretrain", help="contrastive pretraining of the encoder")
-    _add_common(sp)
+    _add_shared(sp, *_SHARED_FLAGS)
     sp.set_defaults(fn=cmd_pretrain, needs_config=True)
 
     sp = sub.add_parser("train", help="train the classifier")
-    _add_common(sp)
+    _add_shared(sp, *_SHARED_FLAGS)
     sp.add_argument("--init-checkpoint", help="encoder checkpoint from pretraining")
     sp.add_argument("--resume", help="model checkpoint to continue training from")
     sp.set_defaults(fn=cmd_train, needs_config=True)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
-    _add_common(sp)
+    _add_shared(sp, "--config", "--seed", "--out", "--repair", "--precision")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", choices=("train", "val", "test"), default="test")
     sp.add_argument("--scores", help="JSON file {'pos': [...], 'neg': [...]} for a KS report")
     sp.set_defaults(fn=cmd_eval, needs_config=True)
 
     sp = sub.add_parser("infer", help="streaming inference over a record file")
-    _add_common(sp)
+    _add_shared(sp, "--out", "--repair", "--precision")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--input", required=True, help="line-delimited JSON records")
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=float, default=LossConfig.threshold)
     sp.add_argument("--strict", action="store_true",
                     help="exit nonzero when malformed lines were skipped")
     sp.set_defaults(fn=cmd_infer, needs_config=False)
 
     sp = sub.add_parser("sample-audit", help="tabulate negative-sampling draw frequencies")
-    _add_common(sp)
+    _add_shared(sp, "--config", "--seed", "--out", "--strategy", "--repair")
     sp.add_argument("--hierarchy", help="hierarchy file (when no --config given)")
     sp.add_argument("--corpus", help="record file for the instance-stage audit")
     sp.add_argument("--draws", type=int, default=100_000,
@@ -440,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sample_audit, needs_config=False)
 
     sp = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
-    _add_common(sp)
+    _add_shared(sp, "--seed", "--out")
     sp.add_argument("--hierarchy", help="hierarchy file; a demo taxonomy is written if omitted")
     sp.add_argument("--n-train", type=int, default=2000)
     sp.add_argument("--n-val", type=int, default=0)

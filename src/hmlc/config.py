@@ -1,5 +1,11 @@
 """Run configuration: an INI file plus command-line overrides.
 
+The config dataclasses declare the INI keys (``SECTIONS``): each field of
+``EncoderConfig``, ``ModelConfig``, ``LossConfig``, ``TrainConfig`` and
+``HmclConfig`` is a key of its section, read by the field's annotation and
+defaulted by the dataclass, except the fields the program sets. An unknown
+section or key is an error.
+
 The effective configuration is serialized to canonical JSON (sorted keys) and
 hashed; checkpoints carry the hash of the *structural* scope they depend on
 (hierarchy, encoder/model dimensions, precision) so a checkpoint written
@@ -12,6 +18,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,10 @@ class RunConfig:
     out: str | None = None
     precision_given: bool = False  # set by a flag or the INI; not in effective_dict
 
+    def __post_init__(self):
+        if self.precision not in PRECISIONS:
+            raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
+
 
 def component_seeds(seed: int) -> dict[str, int]:
     """Independent per-component streams derived from the single run seed."""
@@ -51,126 +62,100 @@ def component_seeds(seed: int) -> dict[str, int]:
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
-def _take(section, key: str, cast, default):
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return cast(raw.strip())
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({e})") from e
+def _keys(cls, *code_set: str) -> dict[str, type]:
+    """A key per field of the dataclass ``cls``, typed by its annotation,
+    leaving out the fields the program sets."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in code_set}
 
 
-def _csv_names(raw: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-    if not parts:
-        raise ValueError("empty list")
-    return parts
+# every INI key by section, with the type its value is read as
+SECTIONS = {
+    "paths": dict.fromkeys(("hierarchy", "train", "val", "test"), str),
+    "run": {"seed": int, "precision": str, "out": str},
+    "encoder": _keys(EncoderConfig),
+    "model": _keys(ModelConfig, "encoder"),
+    "loss": _keys(LossConfig, "clamp_eps"),
+    "train": _keys(TrainConfig, "seed"),
+    "hmcl": _keys(HmclConfig, "seed"),
+}
 
 
-def _csv_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
+def _parse(kind, raw: str):
+    """``raw`` read as a value of the annotation ``kind``: int, float, str, a
+    comma list ``tuple[X, ...]`` or ``X | None``."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return _parse(args[0], raw)
+    if typing.get_origin(kind) is tuple:
+        items = tuple(args[0](p.strip()) for p in raw.split(",") if p.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return kind(raw)
+
+
+def _section(parser, name: str, given: dict) -> dict:
+    """The values of section ``name``. A flag in ``given`` wins over the key
+    of its name; an empty or absent key is left out, so its field keeps the
+    dataclass default."""
+    section = parser[name] if parser.has_section(name) else {}
+    values = {}
+    for key, kind in SECTIONS[name].items():
+        if key in given:
+            values[key] = given[key]
+            continue
+        raw = (section.get(key) or "").strip()
+        if raw:
+            try:
+                values[key] = _parse(kind, raw)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"bad value for [{name}] {key}: {raw!r} ({e})") from e
+    return values
+
+
+def _check_keys(parser) -> None:
+    defaults = parser.defaults().keys()  # [DEFAULT] keys fall back into every section
+    unknown = [f"[DEFAULT] {key}" for key in defaults - set().union(*SECTIONS.values())]
+    for name in parser.sections():
+        if name not in SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown += [f"[{name}] {key}"
+                    for key in parser[name].keys() - defaults - SECTIONS[name].keys()]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(sorted(unknown))}")
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse the INI file; ``overrides`` may carry seed/out/strategy/precision
-    values from command-line flags, which win over the file."""
+    values from command-line flags, which win over the file's key of the same
+    name."""
+    parser = configparser.ConfigParser()
+    given = {k: v for k, v in (overrides or {}).items() if v is not None and v != ""}
     try:
-        return _load_run_config(path, overrides or {})
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        _check_keys(parser)
+        ini = {name: _section(parser, name, given) for name in SECTIONS}
     except configparser.Error as e:  # duplicate sections or options, bad syntax or %
         raise ConfigError(f"{path}: {e}") from e
 
-
-def _load_run_config(path, overrides: dict) -> RunConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-
-    paths = parser["paths"] if parser.has_section("paths") else {}
-    hierarchy_path = _take(paths, "hierarchy", str, None)
-    if hierarchy_path is None:
+    paths, run = ini["paths"], ini["run"]
+    if "hierarchy" not in paths:
         raise ConfigError("config is missing [paths] hierarchy")
-
-    enc = parser["encoder"] if parser.has_section("encoder") else {}
-    encoder = EncoderConfig(
-        vocab_buckets=_take(enc, "vocab_buckets", int, 4096),
-        d=_take(enc, "d", int, 16),
-        heads=_take(enc, "heads", int, 2),
-        max_tokens=_take(enc, "max_tokens", int, 16),
-        fields=_take(enc, "fields", _csv_names, EncoderConfig().fields),
-    )
-
-    mod = parser["model"] if parser.has_section("model") else {}
-    model = ModelConfig(
-        encoder=encoder,
-        head_hidden=_take(mod, "head_hidden", int, 32),
-        cross_heads=_take(mod, "cross_heads", int, 2),
-    )
-
-    los = parser["loss"] if parser.has_section("loss") else {}
-    loss = LossConfig(
-        focal_alpha=_take(los, "focal_alpha", float, 0.25),
-        focal_gamma=_take(los, "focal_gamma", float, 2.0),
-        lambda_reg=_take(los, "lambda_reg", float, 1.0),
-        threshold=_take(los, "threshold", float, 0.5),
-    )
-
-    run = parser["run"] if parser.has_section("run") else {}
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _take(run, "seed", int, None)
-    if seed is None:
+    if "seed" not in run:
         raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
-    given = overrides.get("precision") or _take(run, "precision", str, None)
-    precision = given or "f32"
-    if precision not in PRECISIONS:
-        raise ConfigError(f"precision must be one of {PRECISIONS}, got {precision!r}")
-    out = overrides.get("out") or _take(run, "out", str, None)
-
-    seeds = component_seeds(seed)
-
-    tr = parser["train"] if parser.has_section("train") else {}
-    train = TrainConfig(
-        epochs=_take(tr, "epochs", int, 20),
-        batch_size=_take(tr, "batch_size", int, 8),
-        lr=_take(tr, "lr", float, 5e-3),
-        lr_decay=_take(tr, "lr_decay", float, 0.8),
-        decay_every_epochs=_take(tr, "decay_every_epochs", int, 2),
-        seed=seeds["train"],
-        early_stop_f1=_take(tr, "early_stop_f1", float, None),
-    )
-
-    hm = parser["hmcl"] if parser.has_section("hmcl") else {}
-    hmcl = HmclConfig(
-        strategy=overrides.get("strategy") or _take(hm, "strategy", str, "sibling"),
-        contrastive_alpha=_take(hm, "contrastive_alpha", float, 0.1),
-        repeats_per_level=_take(hm, "repeats_per_level", _csv_ints, (10, 20, 50)),
-        batch_size=_take(hm, "batch_size", int, 8),
-        lr=_take(hm, "lr", float, 1e-5),
-        lr_decay=_take(hm, "lr_decay", float, 0.8),
-        decay_every_batches=_take(hm, "decay_every_batches", int, 4000),
-        epochs=_take(hm, "epochs", int, 1),
-        max_batches=_take(hm, "max_batches", int, None),
-        proj_hidden=_take(hm, "proj_hidden", int, 32),
-        proj_dim=_take(hm, "proj_dim", int, 16),
-        seed=seeds["pretrain"],
-    )
-
+    seeds = component_seeds(run["seed"])
+    encoder = EncoderConfig(**ini["encoder"])
     return RunConfig(
-        hierarchy_path=hierarchy_path,
-        train_path=_take(paths, "train", str, None),
-        val_path=_take(paths, "val", str, None),
-        test_path=_take(paths, "test", str, None),
+        **{f"{key}_path": paths.get(key) for key in SECTIONS["paths"]},
         encoder=encoder,
-        model=model,
-        loss=loss,
-        train=train,
-        hmcl=hmcl,
-        seed=seed,
-        precision=precision,
-        out=out,
-        precision_given=given is not None,
+        model=ModelConfig(encoder=encoder, **ini["model"]),
+        loss=LossConfig(**ini["loss"]),
+        train=TrainConfig(seed=seeds["train"], **ini["train"]),
+        hmcl=HmclConfig(seed=seeds["pretrain"], **ini["hmcl"]),
+        precision_given="precision" in run,
+        **run,
     )
 
 
@@ -201,7 +186,8 @@ def encoder_scope(hierarchy_edges: list[list[str]], encoder: EncoderConfig,
 def model_scope(hierarchy_edges: list[list[str]], model: ModelConfig,
                 precision: str) -> dict:
     scope = encoder_scope(hierarchy_edges, model.encoder, precision)
-    scope["model"] = {"head_hidden": model.head_hidden, "cross_heads": model.cross_heads}
+    scope["model"] = dataclasses.asdict(model)
+    scope["model"].pop("encoder")  # already the scope's "encoder"
     return scope
 
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .hierarchy import (
+    HierarchyError,
     LabelHierarchy,
     closure,
     labels_at_level,
@@ -107,47 +109,55 @@ def load_corpus(
 
     In strict mode (default) a record whose active labels are not closed
     under the parent relation raises PathViolation; with ``repair=True`` the
-    missing ancestors are activated instead.
+    missing ancestors are activated instead. Errors name ``path:line``.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            records.append(_parse_record(line, lineno, h, fields, repair, str(path)))
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            parsed = parse_line(raw, fields)
+            if parsed is not None:
+                records.append(_labelled(*parsed, h, repair))
+        except (CorpusError, HierarchyError) as e:
+            raise type(e)(f"{path}:{lineno}: {e}") from e
     return Corpus(hierarchy=h, records=records)
 
 
-def field_texts(raw_fields: dict, fields: tuple[str, ...]) -> dict[str, str]:
-    """The text of each named field; a missing, null or empty one reads as ""."""
-    return {name: str(raw_fields.get(name, "") or "") for name in fields}
-
-
-def _parse_record(line, lineno, h, fields, repair, where) -> Record:
+def parse_line(raw: bytes, fields: tuple[str, ...]) -> tuple[dict, dict[str, str]] | None:
+    """One record line's JSON object and the text of each named field (a
+    missing, null or empty field reads as ""), or None for a blank line.
+    ``load_corpus`` and ``hmlc infer`` read lines with it; a line that holds
+    no record raises MalformedLine."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise MalformedLine(f"invalid UTF-8 ({e.reason} at byte {e.start})") from e
+    if not line:
+        return None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
-        raise MalformedLine(f"{where}:{lineno}: invalid JSON ({e.msg})") from e
+        raise MalformedLine(f"invalid JSON ({e.msg})") from e
     if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-        raise MalformedLine(f"{where}:{lineno}: record must be an object with a string 'id'")
+        raise MalformedLine("record must be an object with a string 'id'")
     raw_fields = obj.get("fields")
     if not isinstance(raw_fields, dict):
-        raise MalformedLine(f"{where}:{lineno}: missing 'fields' object")
-    text = field_texts(raw_fields, fields)
+        raise MalformedLine("missing 'fields' object")
+    text = {name: str(raw_fields.get(name, "") or "") for name in fields}
     if not any(text.values()):
-        raise MalformedLine(f"{where}:{lineno}: record {obj['id']!r} has no non-empty field")
+        raise MalformedLine(f"record {obj['id']!r} has no non-empty field")
+    return obj, text
+
+
+def _labelled(obj: dict, text: dict[str, str], h: LabelHierarchy, repair: bool) -> Record:
     names = obj.get("labels", [])
-    if not isinstance(names, list):
-        raise MalformedLine(f"{where}:{lineno}: 'labels' must be a list")
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise MalformedLine("'labels' must be a list of label strings")
     bits = labels_to_bits(h, names)
     violations = validate_assignment(h, bits)
     if violations:
         if not repair:
             raise PathViolation(
-                f"{where}:{lineno}: record {obj['id']!r} violates parent-child "
-                f"consistency at {violations}"
-            )
+                f"record {obj['id']!r} violates parent-child consistency at {violations}")
         bits = closure(h, bits)
     return Record(id=obj["id"], fields=text, labels=bits)
 

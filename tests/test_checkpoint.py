@@ -125,6 +125,23 @@ def test_unsupported_dtype_on_load(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("offset", [0, 8, 12, 20])
+def test_array_table_must_tile_the_data(tmp_path, offset):
+    # a bit flip once moved "offset" 576 to 566: the array loaded from the
+    # wrong bytes, and infer overflowed in matmul where it should exit 2
+    path = tmp_path / "x.ckpt"
+    arrays = [{"name": n, "dtype": "<f4", "shape": [2], "offset": o, "nbytes": 8}
+              for n, o in (("a", 0), ("b", offset))]
+    hdr = json.dumps({"format_version": 1, "config_hash": "h", "meta": {},
+                      "arrays": arrays}).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(hdr)) + hdr + b"\0" * 28)
+    if offset == 8:
+        assert set(load_checkpoint(path)[0]) == {"a", "b"}
+    else:
+        with pytest.raises(CheckpointError, match=f"'b' is at offset {offset}, expected 8"):
+            load_checkpoint(path)
+
+
 def test_meta_round_trip(tmp_path):
     path = tmp_path / "x.ckpt"
     meta = {"kind": "encoder", "scope": {"precision": "f32", "n": 3}}

@@ -552,6 +552,50 @@ def test_infer_skips_ids_that_are_not_strings(ws, tmp_path, capsys):
     assert main(argv + ["--strict"]) == 2
 
 
+def test_infer_skips_a_line_that_is_not_utf8(ws, tmp_path, capsys):
+    # one undecodable line once cost every other line: exit 2 and no predictions
+    good = [json.dumps({"id": rid, "fields": {"name": "alpha beta"}}).encode() for rid in "ab"]
+    src = tmp_path / "bytes.jsonl"
+    src.write_bytes(good[0] + b"\n" + b'{"id": "c", "fields": {"name": "\xff"}}\n' + good[1] + b"\n")
+    out = tmp_path / "inf"
+    argv = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"), "--input", str(src),
+            "--out", str(out)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: skipped line") == 1
+    assert f"{src}:2: invalid UTF-8" in err
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["a", "b"]
+    assert main(argv + ["--strict"]) == 2
+
+
+def test_infer_warnings_name_file_and_line(ws, tmp_path, capsys):
+    src = tmp_path / "where.jsonl"
+    src.write_text("\n".join([json.dumps({"id": "ok", "fields": {"name": "alpha"}}), "",
+                              "{not json", json.dumps({"id": "x", "fields": {"name": "!!"}})]))
+    assert main(["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+                 "--input", str(src)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"warning: skipped line {src}:3: invalid JSON")
+    assert err[1] == f"warning: skipped line {src}:4: record has no non-empty field"
+
+
+def test_infer_ignores_labels(ws, tmp_path, capsys):
+    # labels that load_corpus rejects (unknown, a child without its parent, not
+    # a list) do not stop a line from being scored
+    labels = [["Nowhere"], ["Finance-Loan"], "Finance", None]
+    src = tmp_path / "labels.jsonl"
+    src.write_text("".join(json.dumps({"id": f"r{i}", "fields": {"name": "alpha beta"},
+                                       "labels": lab}) + "\n" for i, lab in enumerate(labels)))
+    out = tmp_path / "inf"
+    assert main(["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"), "--input", str(src),
+                 "--out", str(out), "--strict"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    preds = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    assert [p["id"] for p in preds] == ["r0", "r1", "r2", "r3"]
+    assert len({json.dumps(p["scores"], sort_keys=True) for p in preds}) == 1
+
+
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
                      lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=6)
@@ -690,6 +734,36 @@ def test_sample_audit_requires_inputs(capsys):
     assert "--config or --hierarchy" in err
 
 
+def test_sample_audit_repair_reaches_the_corpus(ws, tmp_path, capsys):
+    # --repair was once accepted and ignored: the corpus always loaded strictly
+    src = tmp_path / "orphan.jsonl"
+    src.write_text(json.dumps({"id": "o", "fields": {"name": "alpha"},
+                               "labels": ["Finance-Loan"]}) + "\n"
+                   + (ws["data"] / "train.jsonl").read_text())
+    argv = ["sample-audit", "--hierarchy", str(ws["data"] / "hierarchy.tsv"), "--seed", "1",
+            "--corpus", str(src), "--draws", "50", "--out", str(tmp_path / "aud")]
+    assert main(argv) == 2
+    assert f"{src}:1" in capsys.readouterr().err
+    assert main(argv + ["--repair"]) == 0
+    assert sum(_read_audit(tmp_path / "aud" / "instance_stage.csv").values()) >= 50
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("infer", "--config"), ("infer", "--seed"), ("infer", "--strategy"),
+    ("gen-synthetic", "--config"), ("gen-synthetic", "--strategy"),
+    ("gen-synthetic", "--repair"), ("gen-synthetic", "--precision"),
+    ("sample-audit", "--precision"), ("eval", "--strategy"),
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, command, flag):
+    required = {"infer": ["--checkpoint", "c", "--input", "i"], "eval": ["--checkpoint", "c"]}
+    value = {"--config": ["run.ini"], "--seed": ["1"], "--strategy": ["all"],
+             "--precision": ["f64"], "--repair": []}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required.get(command, []), flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_missing_hierarchy_path_fails_cleanly(ws, tmp_path, capsys):
     ini = tmp_path / "broken.ini"
     ini.write_text("[paths]\nhierarchy = {0}\ntrain = {1}\n[run]\nseed = 1\n"
@@ -713,6 +787,19 @@ def _ini_with(ws, path, changes):
         parser.write(f)
     return path
 
+
+@pytest.mark.parametrize("old,new,named", [
+    ("[run]", "[encoderr]\nd = 8\n[run]", "unknown section [encoderr]"),
+    ("[run]", "[DEFAULT]\nbatchsize = 2\n[run]", "unknown key [DEFAULT] batchsize"),
+    ("batch_size = 8", "batch_size = 8\nepoch = 1", "unknown key [train] epoch"),
+])
+def test_unknown_ini_names_exit_input(ws, tmp_path, capsys, old, new, named):
+    # each was once accepted silently, and the run used the defaults
+    ini = tmp_path / "typo.ini"
+    ini.write_text(BASE_INI.format(data=ws["data"], epochs=1, run_extra="").replace(old, new))
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
 
 @pytest.mark.parametrize("section,key,value", [
     ("train", "batch_size", "-1"), ("train", "batch_size", "0"), ("train", "epochs", "0"),

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import configparser
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from hmlc.config import (
+    SECTIONS,
     ConfigError,
     canonical_json,
     component_seeds,
@@ -17,8 +21,10 @@ from hmlc.config import (
     model_scope,
     scope_hash,
 )
+from hmlc.contrastive import HmclConfig
 from hmlc.encoder import EncoderConfig
-from hmlc.model import ModelConfig
+from hmlc.model import LossConfig, ModelConfig, TrainConfig
+from hmlc.sampling import SamplingError
 
 FULL_INI = """
 [paths]
@@ -146,6 +152,10 @@ def test_bad_values(tmp_path):
         load_run_config(_write(tmp_path, "[paths]\nhierarchy = t.tsv\n"
                                          "[run]\nseed = 1\n"
                                          "[train]\nepochs = many\n"))
+    for section, key in (("encoder", "fields"), ("hmcl", "repeats_per_level")):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_run_config(_write(tmp_path, "[paths]\nhierarchy = t.tsv\n[run]\nseed = 1\n"
+                                             f"[{section}]\n{key} = ,\n"))
 
 
 def test_component_seeds_deterministic_and_distinct():
@@ -181,7 +191,59 @@ def test_scope_hashes_distinguish_encoder_from_model():
     e_scope = encoder_scope(edges, enc, "f32")
     m_scope = model_scope(edges, model, "f32")
     assert scope_hash(e_scope) != scope_hash(m_scope)
+    # checkpoints written before the scope was read off ModelConfig still load
+    assert m_scope["model"] == {"head_hidden": 16, "cross_heads": 2}
     assert scope_hash(e_scope) == scope_hash(encoder_scope(edges, enc, "f32"))
     assert scope_hash(e_scope) != scope_hash(encoder_scope(edges, enc, "f64"))
     other = EncoderConfig(vocab_buckets=32, d=16, heads=2)
     assert scope_hash(encoder_scope(edges, other, "f32")) != scope_hash(e_scope)
+
+
+MINIMAL_INI = "[paths]\nhierarchy = t.tsv\n[run]\nseed = 1\n"
+
+
+def test_unknown_keys_are_all_named(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown key \[train\] batchsize, \[train\] epoch$"):
+        load_run_config(_write(tmp_path, MINIMAL_INI + "[train]\nepoch = 1\nbatchsize = 2\n"))
+    with pytest.raises(ConfigError, match=r"unknown key \[model\] epochs"):
+        load_run_config(_write(tmp_path, MINIMAL_INI + "[model]\nepochs = 1\n"))
+
+
+@pytest.mark.parametrize("section,key", [
+    ("train", "seed"), ("hmcl", "seed"), ("model", "encoder"), ("loss", "clamp_eps")])
+def test_fields_the_program_sets_are_not_keys(tmp_path, section, key):
+    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}"):
+        load_run_config(_write(tmp_path, MINIMAL_INI + f"[{section}]\n{key} = 1\n"))
+
+
+def test_default_section_fills_the_sections_present(tmp_path):
+    cfg = load_run_config(_write(tmp_path, "[DEFAULT]\nlr = 0.25\n" + MINIMAL_INI + "[train]\n"))
+    assert cfg.train.lr == 0.25
+    assert cfg.hmcl.lr == HmclConfig.lr  # no [hmcl] section to fall back into
+    with pytest.raises(ConfigError, match=r"unknown key \[DEFAULT\] bogus"):
+        load_run_config(_write(tmp_path, "[DEFAULT]\nbogus = 1\n" + MINIMAL_INI))
+
+
+def test_strategy_flag_wins_before_validation(tmp_path):
+    path = _write(tmp_path, MINIMAL_INI + "[hmcl]\nstrategy = nonsense\n")
+    with pytest.raises(SamplingError):
+        load_run_config(path)
+    assert load_run_config(path, overrides={"strategy": "all"}).hmcl.strategy == "all"
+
+
+def test_readme_example_loads_and_sets_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = load_run_config(_write(tmp_path, block))
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert {name: set(parser[name]) for name in parser.sections()} == \
+        {name: set(keys) for name, keys in SECTIONS.items()}
+    # the example shows the defaults
+    seeds = component_seeds(cfg.seed)
+    assert cfg.encoder == EncoderConfig()
+    assert cfg.model == ModelConfig()
+    assert cfg.loss == LossConfig()
+    assert cfg.train == TrainConfig(seed=seeds["train"])
+    assert cfg.hmcl == HmclConfig(seed=seeds["pretrain"])
+    assert cfg.precision == "f32" and cfg.precision_given

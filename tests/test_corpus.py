@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hmlc.cli import main
 from hmlc.corpus import (
     Corpus,
+    CorpusError,
     IndexOutOfRange,
     MalformedLine,
     PathViolation,
@@ -16,7 +22,7 @@ from hmlc.corpus import (
     load_corpus,
     write_corpus,
 )
-from hmlc.hierarchy import LabelHierarchy, LevelOutOfRange, UnknownLabel, validate_assignment
+from hmlc.hierarchy import HierarchyError, LabelHierarchy, LevelOutOfRange, UnknownLabel, validate_assignment
 from hmlc.synthetic import SyntheticConfig, demo_hierarchy, make_synthetic_corpus
 
 from conftest import make_record
@@ -87,6 +93,20 @@ def test_malformed_line_reports_line_number(tmp_path, demo):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(_rec("ok", ["Finance"])) + "\n{broken\n")
     with pytest.raises(MalformedLine, match=":2:"):
+        load_corpus(path, demo)
+
+
+def test_label_that_is_not_a_string_is_malformed(tmp_path, demo):
+    # an unhashable label once escaped as a TypeError traceback
+    path = _write_lines(tmp_path / "c.jsonl", [_rec("a", ["Finance"]), _rec("b", [["Finance"]])])
+    with pytest.raises(MalformedLine, match=":2: 'labels' must be a list of label strings"):
+        load_corpus(path, demo)
+
+
+def test_line_that_is_not_utf8_is_malformed(tmp_path, demo):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(json.dumps(_rec("a", ["Finance"])).encode() + b"\n\xff\n")
+    with pytest.raises(MalformedLine, match=":2: invalid UTF-8"):
         load_corpus(path, demo)
 
 
@@ -231,3 +251,43 @@ def test_synthetic_tokens_carry_label_signal(demo_corpus):
 def test_synthetic_rejects_bad_n(demo):
     with pytest.raises(ValueError):
         make_synthetic_corpus(demo, 0, seed=1)
+
+
+_JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=2), max_leaves=5)
+_LABEL = st.sampled_from(demo_hierarchy().labels) | st.text(max_size=6) | _JUNK
+_RECORD_LINE = st.fixed_dictionaries({}, optional={
+    "id": st.text(max_size=4) | _JUNK,
+    "fields": st.fixed_dictionaries({}, optional={
+        f: st.text(max_size=12) | _JUNK for f in ("name", "description", "other")}) | _JUNK,
+    "labels": st.lists(_LABEL, max_size=4) | _JUNK,
+}).map(lambda obj: json.dumps(obj).encode())
+_LINE = _RECORD_LINE | st.binary(max_size=12) | st.text(max_size=12).map(str.encode)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(_LINE, max_size=5), sep=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+       repair=st.booleans())
+def test_fuzzed_corpus_loads_or_exits_input(demo, tmp_path_factory, lines, sep, repair):
+    # every file loads or raises a documented error, which hmlc maps to exit 2
+    # with a message and no traceback
+    root = tmp_path_factory.mktemp("corpus_fuzz")
+    hierarchy = root / "h.tsv"
+    hierarchy.write_text("".join(f"{p}\t{c}\n" for p, c in demo.canonical_edges()))
+    src = root / "c.jsonl"
+    src.write_bytes(sep.join(lines))
+    try:
+        corpus = load_corpus(src, demo, repair=repair)
+        expected = 0
+    except (CorpusError, HierarchyError):
+        corpus, expected = None, 2
+    if corpus is not None:
+        assert all(isinstance(r.id, str) and any(r.fields.values()) for r in corpus.records)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sample-audit", "--hierarchy", str(hierarchy), "--seed", "1",
+                     "--corpus", str(src), "--draws", "5", "--out", str(root / "aud")]
+                    + ["--repair"] * repair)
+    assert code == expected
+    assert err.getvalue().startswith("error: ") if expected else not err.getvalue()
