@@ -5,8 +5,9 @@ canonical JSON header (sorted keys, no whitespace), then the raw array bytes
 concatenated in header order. Arrays are stored little-endian, C-contiguous,
 sorted by name, so the same parameter values always produce the same bytes.
 
-The header carries a ``config_hash``; loading refuses a checkpoint whose hash
-differs from the configuration it is being loaded into.
+The header carries a ``config_hash`` of the scope the arrays depend on and,
+under ``meta``, that scope itself; the command line refuses to load a
+checkpoint whose scope differs from its configuration's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class CheckpointError(ValueError):
 
 
 class ConfigHashMismatch(CheckpointError):
-    pass
+    """A checkpoint's scope differs from the configuration it is loaded under."""
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config_hash: str,
@@ -65,9 +66,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_hash: str,
             f.write(raw)
 
 
-def load_checkpoint(path, expect_config_hash: str | None = None):
-    """Return ``(arrays, header)``. If ``expect_config_hash`` is given and does
-    not match the stored hash, raise ``ConfigHashMismatch``."""
+def load_checkpoint(path):
+    """Return ``(arrays, header)``."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
@@ -84,10 +84,6 @@ def load_checkpoint(path, expect_config_hash: str | None = None):
         if header.get("format_version") != _FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported format version {header.get('format_version')!r}")
-        if expect_config_hash is not None and header.get("config_hash") != expect_config_hash:
-            raise ConfigHashMismatch(
-                f"{path}: checkpoint was written under a different configuration "
-                f"({str(header.get('config_hash'))[:12]}… vs expected {expect_config_hash[:12]}…)")
         payload = f.read()
     arrays = {}
     offset = 0  # each array starts where the one before it ended

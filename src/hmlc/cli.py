@@ -98,10 +98,16 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_config(out: Path | None, cfg: RunConfig) -> None:
+def _report(out: Path | None, name: str, payload) -> None:
+    """A command's JSON result: written to ``out/name``, or printed without ``--out``."""
     if out is not None:
-        _write_json(out / "config.json",
-                    {"config": effective_dict(cfg), "hash": config_hash(cfg)})
+        _write_json(out / name, payload)
+    else:
+        print(json.dumps(payload, sort_keys=True))
+
+
+def _write_config(out: Path, cfg: RunConfig) -> None:
+    _write_json(out / "config.json", {"config": effective_dict(cfg), "hash": config_hash(cfg)})
 
 
 def _load_inputs(cfg: RunConfig, split: str = "train",
@@ -114,6 +120,8 @@ def _load_inputs(cfg: RunConfig, split: str = "train",
 
 
 def _build_model(cfg: RunConfig, h: LabelHierarchy) -> HmcnModel:
+    if cfg.seed is None:
+        raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
     rng = np.random.default_rng(component_seeds(cfg.seed)["init"])
     return init_model(rng, h, cfg.model)
 
@@ -129,18 +137,43 @@ def _assign_arrays(params: dict, arrays: dict, where: str) -> None:
         params[name].data = arr.astype(ad.default_dtype(), copy=True)
 
 
-def _restore_model(ckpt_path: str, precision: str | None = None) -> tuple[HmcnModel, dict]:
-    """Rebuild a model purely from a checkpoint's stored scope. A model runs
-    at the precision it was trained at: a requested ``precision`` that
-    differs is a mismatch."""
-    arrays, header = load_checkpoint(ckpt_path)
+def _load_kind(path, kind: str) -> tuple[dict, dict]:
+    """``load_checkpoint`` of a ``kind`` ("model" or "encoder") checkpoint that
+    records its scope."""
+    arrays, header = load_checkpoint(path)
+    meta = header.get("meta")
+    if not (isinstance(meta, dict) and meta.get("kind") == kind
+            and isinstance(meta.get("scope"), dict)):
+        raise CheckpointError(f"{path}: not {'an' if kind == 'encoder' else 'a'} {kind} checkpoint")
+    return arrays, header
+
+
+def _load_under(path, kind: str, cfg: RunConfig, model: HmcnModel) -> None:
+    """Load the ``kind`` checkpoint at ``path`` into ``model``, built from
+    ``cfg``: the whole model, or its encoder. The checkpoint's stored scope
+    must equal the config's, so its hierarchy, encoder and model settings and
+    precision all match."""
+    edges = model.hierarchy.canonical_edges()
+    if kind == "encoder":
+        scope = encoder_scope(edges, cfg.encoder, cfg.precision)
+        params = model.encoder.named("encoder")
+    else:
+        scope, params = model_scope(edges, cfg.model, cfg.precision), model.named()
+    arrays, header = _load_kind(path, kind)
+    stored, want = header["meta"]["scope"], json.loads(canonical_json(scope))
+    differ = [k for k in {**want, **stored} if stored.get(k) != want.get(k)]
+    if differ:
+        raise ConfigHashMismatch(f"{path}: the config's {' and '.join(differ)} "
+                                 f"differ{'s' * (len(differ) == 1)} from the checkpoint's")
+    _assign_arrays(params, arrays, path)
+
+
+def _restore_model(ckpt_path) -> tuple[HmcnModel, dict]:
+    """Rebuild a model purely from a checkpoint's stored scope, at the
+    precision it was trained at."""
+    arrays, header = _load_kind(ckpt_path, "model")
+    scope = header["meta"]["scope"]
     try:
-        scope = header["meta"].get("scope")
-        if header["meta"].get("kind") != "model" or scope is None:
-            raise CheckpointError(f"{ckpt_path}: not a model checkpoint")
-        if precision is not None and precision != scope["precision"]:
-            raise ConfigHashMismatch(f"{ckpt_path}: precision {precision} differs from the "
-                                     f"checkpoint's precision {scope['precision']}")
         ad.set_default_dtype(scope["precision"])
         h = parse_hierarchy([tuple(e) for e in scope["hierarchy"]])
         enc = dict(scope["encoder"])
@@ -159,8 +192,6 @@ def _restore_model(ckpt_path: str, precision: str | None = None) -> tuple[HmcnMo
 
 def cmd_gen_synthetic(args) -> int:
     out = _out_dir(args.out)
-    if out is None:
-        raise ConfigError("gen-synthetic requires --out")
     with _sidecar(out):
         if args.hierarchy:
             h = load_hierarchy(args.hierarchy)
@@ -170,8 +201,6 @@ def cmd_gen_synthetic(args) -> int:
             h = parse_hierarchy([tuple(e) for e in edges])
         hier_path = out / "hierarchy.tsv"
         hier_path.write_text("".join(f"{p}\t{c}\n" for p, c in edges))
-        if args.seed is None:
-            raise ConfigError("gen-synthetic requires --seed")
         split_seeds = [int(s.generate_state(1)[0]) for s in
                        np.random.SeedSequence(component_seeds(args.seed)["synthetic"]).spawn(3)]
         manifest = {"seed": args.seed, "hierarchy": hier_path.name, "splits": {}}
@@ -196,7 +225,6 @@ def cmd_pretrain(args) -> int:
         h, corpus = _load_inputs(cfg, "train", repair=args.repair)
         model = _build_model(cfg, h)
         result = pretrain(corpus, model, cfg.hmcl)
-        scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
         diagnostics = {
             "strategy": cfg.hmcl.strategy,
             "steps": len(result.history),
@@ -210,14 +238,13 @@ def cmd_pretrain(args) -> int:
         }
         if out is not None:
             _write_config(out, cfg)
+            scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
             arrays = {k: v.data for k, v in model.encoder.named("encoder").items()}
             save_checkpoint(out / "encoder.ckpt", arrays, scope_hash(scope),
                             meta={"kind": "encoder", "scope": scope})
-            _write_json(out / "pretrain_diagnostics.json", diagnostics)
             (out / "pretrain_history.jsonl").write_text(
                 "".join(s.to_json() + "\n" for s in result.history))
-        else:
-            print(json.dumps(diagnostics, sort_keys=True))
+        _report(out, "pretrain_diagnostics.json", diagnostics)
         log.info("pretraining finished: %s", diagnostics)
         return EXIT_OK
 
@@ -229,18 +256,12 @@ def cmd_train(args) -> int:
     with _sidecar(out):
         h, corpus = _load_inputs(cfg, "train", repair=args.repair)
         model = _build_model(cfg, h)
-        scope = model_scope(h.canonical_edges(), cfg.model, cfg.precision)
         init_mode = "random"
         if args.init_checkpoint:
-            enc_scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
-            arrays, _ = load_checkpoint(args.init_checkpoint,
-                                        expect_config_hash=scope_hash(enc_scope))
-            _assign_arrays(model.encoder.named("encoder"), arrays, args.init_checkpoint)
+            _load_under(args.init_checkpoint, "encoder", cfg, model)
             init_mode = "pretrained"
         elif args.resume:
-            arrays, _ = load_checkpoint(args.resume,
-                                        expect_config_hash=scope_hash(scope))
-            _assign_arrays(model.named(), arrays, args.resume)
+            _load_under(args.resume, "model", cfg, model)
             init_mode = "resume"
         history = train(corpus, model, cfg.train, cfg.loss)
         summary = {
@@ -253,26 +274,23 @@ def cmd_train(args) -> int:
             _write_config(out, cfg)
             (out / "history.jsonl").write_text(
                 "".join(s.to_json() + "\n" for s in history))
+            scope = model_scope(h.canonical_edges(), cfg.model, cfg.precision)
             arrays = {k: v.data for k, v in model.named().items()}
             save_checkpoint(out / "model.ckpt", arrays, scope_hash(scope),
                             meta={"kind": "model", "scope": scope, "init": init_mode})
-            _write_json(out / "summary.json", summary)
-        else:
-            print(json.dumps(summary, sort_keys=True))
+        _report(out, "summary.json", summary)
         log.info("training finished: %s", summary)
         return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
-    model, _header = _restore_model(args.checkpoint, cfg.precision if cfg.precision_given else None)
+    ad.set_default_dtype(cfg.precision)
     out = _out_dir(args.out or cfg.out)
     with _sidecar(out):
         h, corpus = _load_inputs(cfg, args.split, repair=args.repair)
-        if h.canonical_edges() != model.hierarchy.canonical_edges():
-            # same labels in another order would be scored on the wrong columns
-            raise ConfigHashMismatch(
-                f"{args.checkpoint}: the config's hierarchy differs from the checkpoint's")
+        model = init_model(np.random.default_rng(0), h, cfg.model)  # weights from the checkpoint
+        _load_under(args.checkpoint, "model", cfg, model)
         payload = {"split": args.split, "threshold": cfg.loss.threshold}
         for name, (report, violations) in evaluate(corpus, model, cfg.loss).items():
             payload[name] = {**report.to_dict(), "violations": violations}
@@ -285,15 +303,12 @@ def cmd_eval(args) -> int:
                                    f"are lists of numbers")
             ks = ks_statistic(scores["pos"], scores["neg"])
             payload["ks"] = ks.to_dict()
-        if out is not None:
-            _write_json(out / "eval.json", payload)
-        else:
-            print(json.dumps(payload, sort_keys=True))
+        _report(out, "eval.json", payload)
         return EXIT_OK
 
 
 def cmd_infer(args) -> int:
-    model, _header = _restore_model(args.checkpoint, args.precision)
+    model, _header = _restore_model(args.checkpoint)
     h = model.hierarchy
     loss_cfg = LossConfig(threshold=args.threshold)
     out = _out_dir(args.out)
@@ -332,37 +347,20 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sample_audit(args) -> int:
-    if args.config:
-        cfg = load_run_config(args.config, _overrides(args))
-        h = load_hierarchy(cfg.hierarchy_path)
-        strategy = cfg.hmcl.strategy
-        seed = cfg.seed
-        corpus_path = args.corpus or cfg.train_path
-        fields = cfg.encoder.fields
-    else:
-        if not args.hierarchy:
-            raise ConfigError("sample-audit needs --config or --hierarchy")
-        if args.seed is None:
-            raise ConfigError("sample-audit requires --seed")
-        h = load_hierarchy(args.hierarchy)
-        strategy = args.strategy or HmclConfig.strategy
-        seed = args.seed
-        corpus_path = args.corpus
-        fields = EncoderConfig.fields
+    h = load_hierarchy(args.hierarchy)
     out = _out_dir(args.out)
     with _sidecar(out):
-        label_counts = audit_label_draws(h, strategy, args.draws, seed)
-        if out is not None:
-            write_audit_csv(out / "label_stage.csv", label_counts, strategy, stage="label")
-        if corpus_path:
-            corpus = load_corpus(corpus_path, h, fields=fields, repair=args.repair)
-            inst_counts = audit_instance_draws(corpus, strategy, args.draws, seed)
+        counts = {"label": audit_label_draws(h, args.strategy, args.draws, args.seed)}
+        if args.corpus:
+            corpus = load_corpus(args.corpus, h, repair=args.repair)
+            counts["instance"] = audit_instance_draws(corpus, args.strategy, args.draws, args.seed)
+        for stage, stage_counts in counts.items():
             if out is not None:
-                write_audit_csv(out / "instance_stage.csv", inst_counts, strategy,
-                                stage="instance")
-        if out is None:
-            for (v, u), n in sorted(label_counts.items()):
-                print(f"{strategy},label,{v},{u},{n}")
+                write_audit_csv(out / f"{stage}_stage.csv", stage_counts, args.strategy,
+                                stage=stage)
+            else:
+                for (v, u), n in sorted(stage_counts.items()):
+                    print(f"{args.strategy},{stage},{v},{u},{n}")
         return EXIT_OK
 
 
@@ -387,9 +385,9 @@ _SHARED_FLAGS = {
 }
 
 
-def _add_shared(sp, *flags: str) -> None:
+def _add_shared(sp, *flags: str, required: tuple[str, ...] = ()) -> None:
     for flag in flags:
-        sp.add_argument(flag, **_SHARED_FLAGS[flag])
+        sp.add_argument(flag, required=flag in required, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,64 +397,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pretrain", help="contrastive pretraining of the encoder")
-    _add_shared(sp, *_SHARED_FLAGS)
-    sp.set_defaults(fn=cmd_pretrain, needs_config=True)
+    _add_shared(sp, *_SHARED_FLAGS, required=("--config",))
+    sp.set_defaults(fn=cmd_pretrain)
 
     sp = sub.add_parser("train", help="train the classifier")
-    _add_shared(sp, *_SHARED_FLAGS)
+    _add_shared(sp, *_SHARED_FLAGS, required=("--config",))
     sp.add_argument("--init-checkpoint", help="encoder checkpoint from pretraining")
     sp.add_argument("--resume", help="model checkpoint to continue training from")
-    sp.set_defaults(fn=cmd_train, needs_config=True)
+    sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
-    _add_shared(sp, "--config", "--seed", "--out", "--repair", "--precision")
+    _add_shared(sp, "--config", "--out", "--repair", "--precision", required=("--config",))
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", choices=("train", "val", "test"), default="test")
     sp.add_argument("--scores", help="JSON file {'pos': [...], 'neg': [...]} for a KS report")
-    sp.set_defaults(fn=cmd_eval, needs_config=True)
+    sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("infer", help="streaming inference over a record file")
-    _add_shared(sp, "--out", "--repair", "--precision")
+    _add_shared(sp, "--out", "--repair")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--input", required=True, help="line-delimited JSON records")
     sp.add_argument("--threshold", type=float, default=LossConfig.threshold)
     sp.add_argument("--strict", action="store_true",
                     help="exit nonzero when malformed lines were skipped")
-    sp.set_defaults(fn=cmd_infer, needs_config=False)
+    sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("sample-audit", help="tabulate negative-sampling draw frequencies")
-    _add_shared(sp, "--config", "--seed", "--out", "--strategy", "--repair")
-    sp.add_argument("--hierarchy", help="hierarchy file (when no --config given)")
+    _add_shared(sp, "--seed", "--out", "--strategy", "--repair", required=("--seed",))
+    sp.add_argument("--hierarchy", required=True, help="hierarchy file")
     sp.add_argument("--corpus", help="record file for the instance-stage audit")
     sp.add_argument("--draws", type=int, default=100_000,
                     help="label-stage draws per anchor label / minimum instance draws")
-    sp.set_defaults(fn=cmd_sample_audit, needs_config=False)
+    sp.set_defaults(fn=cmd_sample_audit, strategy=HmclConfig.strategy)
 
     sp = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
-    _add_shared(sp, "--seed", "--out")
+    _add_shared(sp, "--seed", "--out", required=("--seed", "--out"))
     sp.add_argument("--hierarchy", help="hierarchy file; a demo taxonomy is written if omitted")
     sp.add_argument("--n-train", type=int, default=2000)
     sp.add_argument("--n-val", type=int, default=0)
     sp.add_argument("--n-test", type=int, default=500)
-    sp.set_defaults(fn=cmd_gen_synthetic, needs_config=False)
+    sp.set_defaults(fn=cmd_gen_synthetic)
 
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.needs_config and not args.config:
-        print("error: --config is required for this command", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        return args.fn(args)
-    except ConfigHashMismatch as e:
+        # a numpy overflow, invalid operation or division by zero fails the
+        # command instead of going on with an inf or a NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
+    except (ConfigHashMismatch, ad.ShapeMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ad.ShapeMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (NonFiniteLoss, ad.NonFiniteValue) as e:
+    except (NonFiniteLoss, ad.NonFiniteValue, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, CheckpointError, CorpusError, HierarchyError, MetricsError,

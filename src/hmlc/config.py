@@ -45,10 +45,9 @@ class RunConfig:
     loss: LossConfig
     train: TrainConfig
     hmcl: HmclConfig
-    seed: int
+    seed: int | None = None  # only commands that build a model require it
     precision: str = "f32"
     out: str | None = None
-    precision_given: bool = False  # set by a flag or the INI; not in effective_dict
 
     def __post_init__(self):
         if self.precision not in PRECISIONS:
@@ -143,18 +142,17 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     paths, run = ini["paths"], ini["run"]
     if "hierarchy" not in paths:
         raise ConfigError("config is missing [paths] hierarchy")
-    if "seed" not in run:
-        raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
-    seeds = component_seeds(run["seed"])
+    if "seed" in run:
+        seeds = component_seeds(run["seed"])
+        ini["train"]["seed"], ini["hmcl"]["seed"] = seeds["train"], seeds["pretrain"]
     encoder = EncoderConfig(**ini["encoder"])
     return RunConfig(
         **{f"{key}_path": paths.get(key) for key in SECTIONS["paths"]},
         encoder=encoder,
         model=ModelConfig(encoder=encoder, **ini["model"]),
         loss=LossConfig(**ini["loss"]),
-        train=TrainConfig(seed=seeds["train"], **ini["train"]),
-        hmcl=HmclConfig(seed=seeds["pretrain"], **ini["hmcl"]),
-        precision_given="precision" in run,
+        train=TrainConfig(**ini["train"]),
+        hmcl=HmclConfig(**ini["hmcl"]),
         **run,
     )
 
@@ -162,7 +160,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 def effective_dict(cfg: RunConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["model"].pop("encoder")  # nested duplicate of the top-level encoder block
-    d.pop("precision_given")
     return d
 
 

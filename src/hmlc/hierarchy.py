@@ -197,18 +197,17 @@ def descendants_of(h: LabelHierarchy, v: str) -> tuple[str, ...]:
 
 
 def validate_assignment(h: LabelHierarchy, bits: np.ndarray) -> list[tuple[str, str]]:
-    """Path-consistency check: every (parent, child) pair with the child bit
-    set while the parent bit is clear. Empty list means the assignment is ok;
-    the all-zero vector is always ok."""
+    """Path-consistency check of ``bits`` (length m, or rows of m): every
+    (parent, child) pair with the child bit set while the parent bit is
+    clear, row after row. Empty list means the assignment is ok; the all-zero
+    vector is always ok."""
     bits = np.asarray(bits)
-    if bits.shape != (h.m,):
-        raise LengthMismatch(f"expected {h.m} bits, got shape {bits.shape}")
-    violations = []
-    for v in h.labels:
-        u = h.parent[v]
-        if u is not None and bits[h.index[v]] and not bits[h.index[u]]:
-            violations.append((u, v))
-    return violations
+    if bits.ndim not in (1, 2) or bits.shape[-1] != h.m:
+        raise LengthMismatch(f"expected {h.m} bits per row, got shape {bits.shape}")
+    child = np.flatnonzero(h.parent_index >= 0)
+    rows = bits.reshape(-1, h.m) != 0
+    _, bad = np.nonzero(rows[:, child] & ~rows[:, h.parent_index[child]])
+    return [(h.labels[h.parent_index[c]], h.labels[c]) for c in child[bad]]
 
 
 def repair_bits(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:

@@ -240,9 +240,7 @@ class EpochStats:
 
 def count_violations(h: LabelHierarchy, bits: np.ndarray) -> int:
     """Total number of violated parent-child edges across rows."""
-    if bits.ndim == 1:
-        bits = bits[None, :]
-    return sum(len(validate_assignment(h, row)) for row in bits)
+    return len(validate_assignment(h, bits))
 
 
 def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,

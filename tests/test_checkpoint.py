@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hmlc.checkpoint import (
     MAGIC,
     CheckpointError,
-    ConfigHashMismatch,
     load_checkpoint,
     save_checkpoint,
 )
@@ -34,7 +33,7 @@ def test_round_trip_bit_exact(tmp_path, dtype):
     arrays = _arrays(dtype)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, arrays, "hash-a", meta={"kind": "model"})
-    loaded, header = load_checkpoint(path, expect_config_hash="hash-a")
+    loaded, header = load_checkpoint(path)
     assert set(loaded) == set(arrays)
     for name, arr in arrays.items():
         assert loaded[name].dtype == np.dtype(dtype)
@@ -67,15 +66,6 @@ def test_unsupported_format_version(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<Q", len(hdr)) + hdr)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
-
-
-def test_config_hash_mismatch(tmp_path):
-    path = tmp_path / "x.ckpt"
-    save_checkpoint(path, _arrays(np.float32), "hash-a")
-    with pytest.raises(ConfigHashMismatch):
-        load_checkpoint(path, expect_config_hash="hash-b")
-    # no expectation means no check
-    load_checkpoint(path)
 
 
 def test_truncated_payload(tmp_path):
@@ -224,3 +214,21 @@ def test_fuzzed_checkpoint_loads_or_exits_cleanly(trained, cut, flips):
     code = main(["infer", "--checkpoint", str(path), "--input", str(trained["input"]),
                  "--out", str(trained["root"] / "infer")])
     assert code in allowed
+
+
+def test_overflowing_weight_exits_numeric(trained, capsys):
+    # under Tier-1's RuntimeWarning filter, this weight's overflow inside
+    # attention once escaped main as a traceback, and without it exited 0
+    from hmlc.cli import EXIT_NUMERIC, main
+
+    source = trained["root"] / "source.ckpt"
+    source.write_bytes(trained["raw"])
+    arrays, header = load_checkpoint(source)
+    arrays["encoder.field_attn.q0"][...] = 3e38
+    path = trained["root"] / "overflow.ckpt"
+    save_checkpoint(path, arrays, header["config_hash"], meta=header["meta"])
+    code = main(["infer", "--checkpoint", str(path), "--input", str(trained["input"]),
+                 "--out", str(trained["root"] / "overflow")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "error: overflow encountered in matmul\n"

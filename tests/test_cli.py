@@ -124,9 +124,18 @@ def test_gen_synthetic_seed_changes_corpus(ws, tmp_path):
     assert (other / "train.jsonl").read_bytes() != (ws["data"] / "train.jsonl").read_bytes()
 
 
+def _rejected_by_argparse(argv, capsys) -> str:
+    """Exit 2 from argparse, before any command runs; its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_gen_synthetic_requires_seed(tmp_path, capsys):
-    assert main(["gen-synthetic", "--out", str(tmp_path / "x")]) == 2
-    assert "seed" in capsys.readouterr().err
+    err = _rejected_by_argparse(["gen-synthetic", "--out", str(tmp_path / "x")], capsys)
+    assert "the following arguments are required: --seed" in err
+    assert not (tmp_path / "x").exists()
 
 
 # ----------------------------------------------------------------- pretrain
@@ -197,8 +206,7 @@ def test_pretrain_stdout_mode(ws, capsys):
 
 
 def test_pretrain_requires_config(capsys):
-    assert main(["pretrain"]) == 2
-    assert "--config" in capsys.readouterr().err
+    assert "required: --config" in _rejected_by_argparse(["pretrain"], capsys)
 
 
 # -------------------------------------------------------------------- train
@@ -258,7 +266,16 @@ def test_init_checkpoint_scope_mismatch(ws, tmp_path, capsys):
                str(tmp_path / "x"), "--init-checkpoint",
                str(ws["pre"] / "encoder.ckpt")])
     assert rc == 3
-    assert "configuration" in capsys.readouterr().err
+    assert "the config's encoder differs from the checkpoint's" in capsys.readouterr().err
+
+
+def test_init_checkpoint_rejects_model_checkpoint(ws, tmp_path, capsys):
+    # once read as a scope-hash mismatch (exit 3)
+    rc = main(["train", "--config", str(ws["ini"]), "--out", str(tmp_path / "x"),
+               "--init-checkpoint", str(ws["tr1"] / "model.ckpt")])
+    assert rc == 2
+    assert "not an encoder checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "model.ckpt").exists()
 
 
 def test_resume_precision_mismatch(ws, tmp_path):
@@ -370,7 +387,7 @@ def test_eval_precision_mismatch(ws, capsys):
     ckpt = str(ws["tr1"] / "model.ckpt")  # trained in f32
     assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
                  "--precision", "f64"]) == 3
-    assert "precision f64 differs" in capsys.readouterr().err
+    assert "the config's precision differs" in capsys.readouterr().err
     assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
                  "--precision", "f32"]) == 0
 
@@ -379,21 +396,51 @@ def test_eval_config_precision_mismatch(ws, tmp_path, capsys):
     # trained in f32; the INI's [run] precision = f64 is a mismatch
     ckpt = str(ws["tr1"] / "model.ckpt")
     assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt]) == 3
-    assert "precision f64 differs" in capsys.readouterr().err
+    assert "the config's precision differs" in capsys.readouterr().err
     # the flag wins over the INI, as everywhere else
     assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt,
                  "--precision", "f32", "--out", str(tmp_path / "flag")]) == 0
 
 
-def test_eval_config_precision_omitted_or_matching(ws, tmp_path):
+def test_eval_config_precision_omitted_or_matching(ws, tmp_path, capsys):
     f64_run = tmp_path / "f64"
     assert main(["train", "--config", str(ws["ini_f64"]), "--out", str(f64_run)]) == 0
     ckpt = str(f64_run / "model.ckpt")
-    # ws["ini"] has no precision key: the checkpoint's precision is used
-    for ini in (ws["ini"], ws["ini_f64"]):
+    # eval runs at the config's precision, f32 when the INI names none, as
+    # train --resume does: an f64 checkpoint under it is a mismatch
+    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt]) == 3
+    assert "the config's precision differs" in capsys.readouterr().err
+    for ini, flags in ((ws["ini"], ["--precision", "f64"]), (ws["ini_f64"], [])):
         out = tmp_path / f"eval-{ini.stem}"
-        assert main(["eval", "--config", str(ini), "--checkpoint", ckpt, "--out", str(out)]) == 0
+        assert main(["eval", "--config", str(ini), "--checkpoint", ckpt, "--out", str(out),
+                     *flags]) == 0
         assert (out / "eval.json").exists()
+
+
+def test_eval_rejects_other_encoder_fields(ws, tmp_path, capsys):
+    # the records were once parsed with the INI's fields and scored, exit 0
+    ini = tmp_path / "fields.ini"
+    ini.write_text(ws["ini"].read_text().replace("[encoder]\n", "[encoder]\nfields = name\n"))
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+               "--out", str(tmp_path / "ev")])
+    assert rc == 3
+    assert "the config's encoder differs from the checkpoint's" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "eval.json").exists()
+
+
+def test_only_commands_that_build_a_model_need_a_seed(ws, tmp_path, capsys):
+    # eval once exited 2 without a seed, though its output never depended on one
+    ini = tmp_path / "noseed.ini"
+    ini.write_text(ws["ini_quick"].read_text().replace("seed = 5\n", ""))
+    assert "seed" not in ini.read_text()
+    ckpt = str(ws["tr1"] / "model.ckpt")
+    for name, config in (("noseed", ini), ("seeded", ws["ini_quick"])):
+        assert main(["eval", "--config", str(config), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "noseed" / "eval.json").read_bytes() == \
+        (tmp_path / "seeded" / "eval.json").read_bytes()
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "tr")]) == 2
+    assert "seed is mandatory: set [run] seed or pass --seed" in capsys.readouterr().err
 
 
 def test_sidecar_log_is_closed_and_detached(ws, tmp_path, monkeypatch):
@@ -462,12 +509,14 @@ def test_infer_reads_null_fields_as_the_corpus_does(ws, tmp_path):
 
 
 def test_infer_precision_mismatch(ws, tmp_path, capsys):
+    # infer runs at the checkpoint's precision; --precision could only mismatch it
     args = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
             "--input", str(ws["data"] / "test.jsonl")]
-    assert main(args + ["--out", str(tmp_path / "f64"), "--precision", "f64"]) == 3
-    assert "precision f64 differs" in capsys.readouterr().err
+    err = _rejected_by_argparse(args + ["--out", str(tmp_path / "f64"), "--precision", "f64"],
+                                capsys)
+    assert "unrecognized arguments: --precision" in err
     assert not (tmp_path / "f64").exists()
-    assert main(args + ["--out", str(tmp_path / "f32"), "--precision", "f32"]) == 0
+    assert main(args + ["--out", str(tmp_path / "f32")]) == 0
     assert len((tmp_path / "f32" / "predictions.jsonl").read_text().splitlines()) == 16
 
 
@@ -707,7 +756,8 @@ def test_sample_audit_label_frequencies(ws, tmp_path):
 
 def test_sample_audit_instance_stage(ws, tmp_path):
     out = tmp_path / "aud"
-    assert main(["sample-audit", "--config", str(ws["ini"]),
+    assert main(["sample-audit", "--hierarchy", str(ws["data"] / "hierarchy.tsv"),
+                 "--seed", "5", "--corpus", str(ws["data"] / "train.jsonl"),
                  "--strategy", "level", "--draws", "200",
                  "--out", str(out)]) == 0
     counts = _read_audit(out / "instance_stage.csv")
@@ -728,10 +778,24 @@ def test_sample_audit_stdout(ws, capsys):
 
 
 def test_sample_audit_requires_inputs(capsys):
-    assert main(["sample-audit"]) == 2
-    assert main(["sample-audit", "--seed", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "--config or --hierarchy" in err
+    assert "required: --seed, --hierarchy" in _rejected_by_argparse(["sample-audit"], capsys)
+    assert "required: --hierarchy" in _rejected_by_argparse(["sample-audit", "--seed", "1"],
+                                                            capsys)
+
+
+def test_sample_audit_stdout_has_both_stages(ws, tmp_path, capsys):
+    # the instance-stage audit once ran without --out and its rows were dropped
+    argv = ["sample-audit", "--hierarchy", str(ws["data"] / "hierarchy.tsv"), "--seed", "5",
+            "--corpus", str(ws["data"] / "train.jsonl"), "--strategy", "level", "--draws", "200"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    stages = [stage for _, stage, *_ in rows]
+    assert stages == sorted(stages, key=["label", "instance"].index)  # label rows first
+    assert set(stages) == {"label", "instance"}
+    assert main(argv + ["--out", str(tmp_path / "aud")]) == 0
+    for stage in ("label", "instance"):
+        printed = {(v, u): int(n) for _, s, v, u, n in rows if s == stage}
+        assert printed == _read_audit(tmp_path / "aud" / f"{stage}_stage.csv")
 
 
 def test_sample_audit_repair_reaches_the_corpus(ws, tmp_path, capsys):
@@ -753,9 +817,13 @@ def test_sample_audit_repair_reaches_the_corpus(ws, tmp_path, capsys):
     ("gen-synthetic", "--config"), ("gen-synthetic", "--strategy"),
     ("gen-synthetic", "--repair"), ("gen-synthetic", "--precision"),
     ("sample-audit", "--precision"), ("eval", "--strategy"),
+    ("eval", "--seed"), ("sample-audit", "--config"),
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, command, flag):
-    required = {"infer": ["--checkpoint", "c", "--input", "i"], "eval": ["--checkpoint", "c"]}
+    required = {"infer": ["--checkpoint", "c", "--input", "i"],
+                "eval": ["--config", "run.ini", "--checkpoint", "c"],
+                "gen-synthetic": ["--seed", "1", "--out", "o"],
+                "sample-audit": ["--hierarchy", "h", "--seed", "1"]}
     value = {"--config": ["run.ini"], "--seed": ["1"], "--strategy": ["all"],
              "--precision": ["f64"], "--repair": []}[flag]
     with pytest.raises(SystemExit) as exc:

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from hmlc.cli import _build_model
 from hmlc.config import (
     SECTIONS,
     ConfigError,
     canonical_json,
     component_seeds,
     config_hash,
-    effective_dict,
     encoder_scope,
     load_run_config,
     model_scope,
@@ -86,7 +86,7 @@ def test_full_parse(tmp_path):
     assert cfg.loss.focal_alpha == 0.3
     assert cfg.loss.threshold == 0.4
     assert cfg.seed == 7
-    assert cfg.precision == "f64" and cfg.precision_given
+    assert cfg.precision == "f64"
     assert cfg.out == "runs/demo"
     assert cfg.train.epochs == 3
     assert cfg.train.early_stop_f1 == 0.9
@@ -103,9 +103,8 @@ def test_defaults_fill_missing_sections(tmp_path):
     assert cfg.train.epochs == 20
     assert cfg.hmcl.strategy == "sibling"
     assert cfg.hmcl.repeats_per_level == (10, 20, 50)
-    assert cfg.precision == "f32" and not cfg.precision_given
+    assert cfg.precision == "f32"
     assert cfg.out is None
-    assert "precision_given" not in effective_dict(cfg)
 
 
 def test_component_seeds_fill_train_and_pretrain(tmp_path):
@@ -116,10 +115,13 @@ def test_component_seeds_fill_train_and_pretrain(tmp_path):
     assert cfg.hmcl.seed == seeds["pretrain"]
 
 
-def test_seed_mandatory(tmp_path):
+def test_seed_mandatory(tmp_path, demo):
+    # mandatory where it is read, in building a model; eval loads without one
     path = _write(tmp_path, "[paths]\nhierarchy = t.tsv\n")
-    with pytest.raises(ConfigError, match="seed"):
-        load_run_config(path)
+    cfg = load_run_config(path)
+    assert cfg.seed is None
+    with pytest.raises(ConfigError, match="seed is mandatory"):
+        _build_model(cfg, demo)
     cfg = load_run_config(path, overrides={"seed": 3})
     assert cfg.seed == 3
 
@@ -131,7 +133,7 @@ def test_overrides_win(tmp_path):
     assert cfg.seed == 99
     assert cfg.out == "elsewhere"
     assert cfg.hmcl.strategy == "all"
-    assert cfg.precision == "f32" and cfg.precision_given
+    assert cfg.precision == "f32"
 
 
 def test_missing_hierarchy(tmp_path):
@@ -246,4 +248,4 @@ def test_readme_example_loads_and_sets_every_key(tmp_path):
     assert cfg.loss == LossConfig()
     assert cfg.train == TrainConfig(seed=seeds["train"])
     assert cfg.hmcl == HmclConfig(seed=seeds["pretrain"])
-    assert cfg.precision == "f32" and cfg.precision_given
+    assert cfg.precision == "f32"

@@ -244,6 +244,27 @@ def test_hypothesis_tree_invariants(edges):
         assert set(siblings_of(h, v)) == set(peers) - {v}
 
 
+def _validate_loop(h, bits):
+    """The label-by-label check validate_assignment made of one row before it
+    took rows."""
+    return [(h.parent[v], v) for v in h.labels
+            if h.parent[v] is not None and bits[h.index[v]] and not bits[h.index[h.parent[v]]]]
+
+
+def test_validate_assignment_rows_match_label_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        tree = random_tree(rng, int(rng.integers(1, 40)))
+        rows = rng.integers(0, 2, size=(int(rng.integers(0, 9)), tree.m)).astype(np.uint8)
+        want = [pair for row in rows for pair in _validate_loop(tree, row)]
+        assert validate_assignment(tree, rows) == want
+        for row in rows:
+            assert validate_assignment(tree, row) == _validate_loop(tree, row)
+    for shape in [(tree.m + 1,), (2, tree.m + 1), (1, 1, tree.m), ()]:
+        with pytest.raises(LengthMismatch):
+            validate_assignment(tree, np.zeros(shape, dtype=np.uint8))
+
+
 def _repair_loop(h, bits):
     """The label-by-label repair the package used before repair_bits."""
     bits = bits.copy()
