@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,6 @@ from .model import (
     HmcnModel,
     LossConfig,
     ModelConfig,
-    NonFiniteLoss,
     evaluate,
     forward,
     init_model,
@@ -63,6 +64,7 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 log = logging.getLogger("hmlc")
 
@@ -88,6 +90,9 @@ def _sidecar(out: Path | None):
     root.addHandler(handler)
     root.setLevel(logging.INFO)
     try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        log.info("numpy %s, BLAS %s %s, threads %s", np.__version__, blas.get("name"),
+                 blas.get("version"), {v: os.environ.get(v) for v in BLAS_THREAD_VARS})
         yield
     finally:
         root.removeHandler(handler)
@@ -116,7 +121,10 @@ def _load_inputs(cfg: RunConfig, split: str = "train",
     path = {"train": cfg.train_path, "val": cfg.val_path, "test": cfg.test_path}[split]
     if path is None:
         raise ConfigError(f"config does not name a {split} corpus")
-    return h, load_corpus(path, h, fields=cfg.encoder.fields, repair=repair)
+    corpus = load_corpus(path, h, fields=cfg.encoder.fields, repair=repair)
+    if not corpus.records:
+        raise CorpusError(f"{path}: no records")
+    return h, corpus
 
 
 def _build_model(cfg: RunConfig, h: LabelHierarchy) -> HmcnModel:
@@ -268,7 +276,7 @@ def cmd_train(args) -> int:
             "init": init_mode,
             "config_hash": config_hash(cfg),
             "epochs_run": len(history),
-            "final": json.loads(history[-1].to_json()) if history else None,
+            "final": asdict(history[-1]) if history else None,
         }
         if out is not None:
             _write_config(out, cfg)
@@ -451,7 +459,7 @@ def main(argv=None) -> int:
     except (ConfigHashMismatch, ad.ShapeMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (NonFiniteLoss, ad.NonFiniteValue, FloatingPointError) as e:
+    except (ad.NonFiniteValue, FloatingPointError) as e:  # NonFiniteLoss among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, CheckpointError, CorpusError, HierarchyError, MetricsError,

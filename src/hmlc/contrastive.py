@@ -24,9 +24,9 @@ from .autodiff import Tensor
 from .corpus import Corpus
 from .encoder import EncoderParams, encode_ids, encode_record, token_ids
 from .metrics import EmbeddingDiagnostics, embedding_diagnostics
-from .model import HmcnModel, NonFiniteLoss
+from .model import HmcnModel
 from .nn import MlpParams, init_mlp, mlp_forward
-from .optim import AdamState, adam_step
+from .optim import descend
 from .sampling import STRATEGIES, ContrastiveBatch, SamplingError, build_batch
 
 
@@ -179,50 +179,30 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
     in place. Embedding diagnostics are measured with identical pair sampling
     before and after."""
     encoder = model.encoder
-    h = corpus.hierarchy
     rng = np.random.default_rng(cfg.seed)
     in_dim = len(encoder.cfg.fields) * encoder.cfg.d
     head = init_projection(rng, in_dim, cfg.proj_hidden, cfg.proj_dim)
-    params = {**encoder.named("encoder"), **head.named()}
-    before = embedding_diagnostics(corpus, project_corpus(corpus, encoder, head),
-                                   h, seed=cfg.seed)
+
+    def diagnostics() -> EmbeddingDiagnostics:
+        return embedding_diagnostics(corpus, project_corpus(corpus, encoder, head),
+                                     corpus.hierarchy, seed=cfg.seed)
+
+    before = diagnostics()
     tokens = token_ids(corpus.records, encoder.cfg)
-    state = AdamState()
-    lr = cfg.lr
-    history: list[PretrainStep] = []
-    skipped_empty = 0
-    skipped_unsat = 0
-    done = 0
-    capped = False
-    for _ in range(cfg.epochs):
-        if capped:
-            break
-        order = rng.permutation(len(corpus))
-        for start in range(0, len(corpus), cfg.batch_size):
-            if cfg.max_batches is not None and done >= cfg.max_batches:
-                capped = True
-                break
-            anchors = order[start:start + cfg.batch_size]
-            batch = build_batch(corpus, anchors, cfg.repeats_per_level, cfg.strategy, rng)
-            skipped_empty += batch.skipped_empty_space
-            skipped_unsat += batch.skipped_unsatisfiable
-            ad.zero_grads(params)
-            try:
-                with ad.Tape() as tape:
-                    objective = ad.scale(
-                        contrastive_loss(batch, corpus, encoder, head, cfg, tokens), -1.0)
-                    tape.backward(objective)
-            except EmptyBatch:
-                continue
-            except ad.NonFiniteValue as e:
-                raise NonFiniteLoss(f"non-finite contrastive loss at step {done}: {e}") from e
-            adam_step(params, state, lr)
-            done += 1
-            history.append(PretrainStep(done, objective.item(), lr, skipped_empty, skipped_unsat))
-            if done % cfg.decay_every_batches == 0:
-                lr *= cfg.lr_decay
-    after = embedding_diagnostics(corpus, project_corpus(corpus, encoder, head),
-                                  h, seed=cfg.seed)
-    return PretrainResult(head=head, history=history, before=before, after=after,
-                          skipped_empty_space=skipped_empty,
-                          skipped_unsatisfiable=skipped_unsat)
+    skipped = [0, 0]  # empty space, unsatisfiable: over every batch drawn so far
+
+    def loss_of(anchors: np.ndarray) -> Tensor | None:
+        batch = build_batch(corpus, anchors, cfg.repeats_per_level, cfg.strategy, rng)
+        skipped[0] += batch.skipped_empty_space
+        skipped[1] += batch.skipped_unsatisfiable
+        try:
+            return ad.scale(contrastive_loss(batch, corpus, encoder, head, cfg, tokens), -1.0)
+        except EmptyBatch:
+            return None
+
+    steps = descend({**encoder.named("encoder"), **head.named()}, loss_of, len(corpus), rng,
+                    cfg.epochs, cfg.batch_size, cfg.lr, cfg.lr_decay, cfg.decay_every_batches,
+                    cfg.max_batches)
+    history = [PretrainStep(step, objective, lr, *skipped)
+               for step, (objective, lr) in enumerate(steps, start=1)]
+    return PretrainResult(head, history, before, diagnostics(), *skipped)

@@ -96,10 +96,12 @@ def parse_hierarchy(edges: list[tuple[str, str]]) -> LabelHierarchy:
     """Build a validated hierarchy from (parent, child) pairs.
 
     Declaration means appearing as a child; a non-root parent must itself be
-    declared somewhere in the edge list. Raises DuplicateParent when a child
-    is listed more than once, UnknownLabel for undeclared parents, and
-    CycleDetected when some labels are unreachable from the root.
+    declared somewhere in the edge list. Raises HierarchyError for no edges,
+    DuplicateParent when a child is listed more than once, UnknownLabel for
+    undeclared parents, and CycleDetected when some labels are unreachable.
     """
+    if not edges:
+        raise HierarchyError("the hierarchy declares no label")
     children: dict[str, list[str]] = {}
     declared: dict[str, str] = {}  # child -> parent
     for parent, child in edges:

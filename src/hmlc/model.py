@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -27,11 +28,7 @@ from .encoder import (EncoderConfig, EncoderParams, encode_ids, encode_record, e
 from .hierarchy import LabelHierarchy, LengthMismatch, repair_bits, validate_assignment
 from .metrics import micro_macro_f1
 from .nn import AttentionParams, MlpParams, init_attention, init_mlp, mlp_forward, multihead_attention
-from .optim import AdamState, adam_step
-
-
-class NonFiniteLoss(RuntimeError):
-    pass
+from .optim import descend
 
 
 @dataclass(frozen=True)
@@ -232,10 +229,7 @@ class EpochStats:
     lr: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch, "loss": self.loss, "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1, "violations": self.violations, "lr": self.lr,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def count_violations(h: LabelHierarchy, bits: np.ndarray) -> int:
@@ -249,48 +243,27 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
     computed from the thresholded predictions made during each epoch's
     forward passes (training-time estimates, no extra inference sweep)."""
     loss_cfg = loss_cfg or LossConfig()
-    rng = np.random.default_rng(schedule.seed)
-    params = model.named()
-    state = AdamState()
-    lr = schedule.lr
     n = len(corpus)
     ids, keys = token_ids(corpus.records, model.encoder.cfg)
-    threshold = loss_cfg.threshold
+    preds = np.zeros((n, model.hierarchy.m), dtype=np.uint8)
+
+    def loss_of(idx: np.ndarray) -> Tensor:
+        pred = _predict(encode_ids(ids[idx], keys[idx], model.encoder), model)
+        preds[idx] = pred.z_final.data >= loss_cfg.threshold
+        return total_loss([corpus.records[i] for i in idx], model, loss_cfg, pred=pred)
+
+    per_epoch = math.ceil(n / schedule.batch_size)
+    steps = descend(model.named(), loss_of, n, np.random.default_rng(schedule.seed),
+                    schedule.epochs, schedule.batch_size, schedule.lr, schedule.lr_decay,
+                    schedule.decay_every_epochs * per_epoch)
     history: list[EpochStats] = []
     for epoch in range(1, schedule.epochs + 1):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        preds = np.zeros((n, model.hierarchy.m), dtype=np.uint8)
-        for start in range(0, n, schedule.batch_size):
-            batch_idx = order[start:start + schedule.batch_size]
-            batch = [corpus.records[i] for i in batch_idx]
-            ad.zero_grads(params)
-            try:
-                with ad.Tape() as tape:
-                    pred = _predict(encode_ids(ids[batch_idx], keys[batch_idx], model.encoder),
-                                    model)
-                    loss = total_loss(batch, model, loss_cfg, pred=pred)
-                    tape.backward(loss)
-            except ad.NonFiniteValue as e:
-                raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch}, batch starting {start}: {e}") from e
-            preds[batch_idx] = pred.z_final.data >= threshold
-            epoch_loss += loss.item()
-            adam_step(params, state, lr)
+        losses, lrs = zip(*islice(steps, per_epoch))  # an epoch is per_epoch steps
         report = micro_macro_f1(corpus.label_matrix, preds)
-        stats = EpochStats(
-            epoch=epoch,
-            loss=epoch_loss / n,
-            micro_f1=report.micro_f1,
-            macro_f1=report.macro_f1,
-            violations=count_violations(model.hierarchy, preds),
-            lr=lr,
-        )
-        history.append(stats)
-        if schedule.early_stop_f1 is not None and stats.micro_f1 >= schedule.early_stop_f1:
+        history.append(EpochStats(epoch, sum(losses) / n, report.micro_f1, report.macro_f1,
+                                  count_violations(model.hierarchy, preds), lrs[-1]))
+        if schedule.early_stop_f1 is not None and report.micro_f1 >= schedule.early_stop_f1:
             break
-        if epoch % schedule.decay_every_epochs == 0:
-            lr *= schedule.lr_decay
     return history
 
 

@@ -1,4 +1,4 @@
-"""Adam with bias correction.
+"""Adam with bias correction, and the one mini-batch loop that runs it.
 
 The update follows the original formulation:
 
@@ -19,11 +19,16 @@ on its own.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor
+from .autodiff import NonFiniteValue, ShapeMismatch, Tape, Tensor, zero_grads
+
+
+class NonFiniteLoss(NonFiniteValue):
+    """A NaN or an inf in a training step's loss or gradient, naming the step."""
 
 
 @dataclass
@@ -100,3 +105,34 @@ def adam_step(
     g /= tmp
     for p, update in zip(params.values(), state.updates):
         p.data -= update
+
+
+def descend(params: dict[str, Tensor], loss_of: Callable[[np.ndarray], Tensor | None], n: int,
+            rng: np.random.Generator, epochs: int, batch_size: int, lr: float, lr_decay: float,
+            decay_every: int, max_steps: int | None = None) -> Iterator[tuple[float, float]]:
+    """Mini-batch Adam over ``n`` items, reshuffled by ``rng`` each epoch, yielding
+    ``(loss, lr)`` after each step. ``loss_of(idx)`` records a batch's scalar loss,
+    or returns ``None`` to skip the batch, which is then not a step. lr decays by
+    ``lr_decay`` every ``decay_every`` steps; at most ``max_steps`` steps run."""
+    state = AdamState()
+    done = 0
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            if max_steps is not None and done >= max_steps:
+                return
+            zero_grads(params)
+            try:
+                with Tape() as tape:
+                    loss = loss_of(order[start:start + batch_size])
+                    if loss is None:
+                        continue
+                    tape.backward(loss)
+            except NonFiniteValue as e:
+                raise NonFiniteLoss(
+                    f"non-finite loss at epoch {epoch}, step {done + 1}: {e}") from e
+            adam_step(params, state, lr)
+            done += 1
+            yield loss.item(), lr  # outside the tape: the caller may stop here
+            if done % decay_every == 0:
+                lr *= lr_decay

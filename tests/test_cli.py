@@ -840,6 +840,104 @@ def test_missing_hierarchy_path_fails_cleanly(ws, tmp_path, capsys):
     assert "absent.tsv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,split", [("train", "train"), ("pretrain", "train"),
+                                           ("eval", "test")])
+def test_empty_corpus_exits_input(ws, tmp_path, capsys, command, split):
+    # train once ended in a ZeroDivisionError traceback, pretrain and eval in
+    # "need at least one array to stack"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    ini = _ini_with(ws, tmp_path / "empty.ini", {("paths", split): str(empty)})
+    extra = ["--checkpoint", str(ws["tr1"] / "model.ckpt")] if command == "eval" else []
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no records\n"
+    assert not list(out.glob("*.ckpt")) and not list(out.glob("*.json"))
+
+
+def test_empty_hierarchy_exits_input(tmp_path, capsys):
+    # gen-synthetic once ended in a KeyError traceback, and sample-audit
+    # exited 0 with no output
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# comments only\n\n")
+    assert main(["gen-synthetic", "--hierarchy", str(empty), "--seed", "1",
+                 "--out", str(tmp_path / "gen")]) == 2
+    assert main(["sample-audit", "--hierarchy", str(empty), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the hierarchy declares no label\n" * 2
+
+
+def test_run_log_names_numpy_blas_and_threads(ws):
+    head = (ws["pre"] / "run.log").read_text().splitlines()[0]
+    assert f"numpy {np.__version__}, BLAS " in head
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert repr(var) in head
+
+
+_HIERARCHY = [b"ROOT\tA", b"ROOT\tB", b"A\tA1", b"A\tA2", b"B\tB1"]
+_HIERARCHY_JUNK = [
+    b"A1\tA", b"B1\tB1", b"ROOT\tROOT", b"A\tROOT", b"B\tA1", b"ROOT\tA",  # cycles, duplicates
+    b"A", b"A\tB\tC", b"\tA", b"A\t", b"A B", b"# comment", b"", b"  ",     # tab counts, comments
+    b"ROOT\t\xff", b"\xffA\tB",                                             # not UTF-8
+]
+# records whose labels a fuzzed hierarchy may or may not declare
+_HIERARCHY_FUZZ_CORPUS = "".join(json.dumps({"id": f"r{i}", "fields": {"name": text},
+                                             "labels": labels}) + "\n"
+                                 for i, (text, labels) in enumerate([
+                                     ("alpha beta", ["A"]), ("beta gamma", ["A", "A1"]),
+                                     ("gamma delta", ["A", "A2"]), ("delta alpha", [])] * 2))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(keep=st.lists(st.booleans(), min_size=len(_HIERARCHY), max_size=len(_HIERARCHY)),
+       inserts=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_HIERARCHY_JUNK)),
+                        max_size=2))
+def test_fuzzed_hierarchy_runs_or_exits_input(fuzz_data, keep, inserts):
+    # a valid taxonomy with lines dropped, and junk inserted anywhere: empty,
+    # comments only, cycles, self-loops, duplicate children, ROOT as a child,
+    # wrong tab counts and non-UTF-8 bytes, through every command that reads
+    # a hierarchy: each exits 0, or 2 with an error line; never a traceback
+    lines = [line for line, kept in zip(_HIERARCHY, keep) if kept]
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    root = fuzz_data / "hierarchy_fuzz"
+    root.mkdir(exist_ok=True)
+    tsv = root / "hierarchy.tsv"
+    tsv.write_bytes(b"".join(line + b"\n" for line in lines))
+    corpus = root / "corpus.jsonl"
+    corpus.write_text(_HIERARCHY_FUZZ_CORPUS)
+    ini = root / "run.ini"
+    ini.write_text(f"[paths]\nhierarchy = {tsv}\ntrain = {corpus}\ntest = {corpus}\n"
+                   "[encoder]\nvocab_buckets = 16\nd = 4\nheads = 1\nmax_tokens = 4\n"
+                   "[model]\nhead_hidden = 4\ncross_heads = 1\n[run]\nseed = 3\n"
+                   "[train]\nepochs = 1\nbatch_size = 4\n"
+                   "[hmcl]\nstrategy = all\nrepeats_per_level = 1, 1\nbatch_size = 4\n"
+                   "max_batches = 2\nproj_hidden = 4\nproj_dim = 4\n")
+    for out in ("gen", "pre", "tr", "ev"):
+        for path in (root / out).glob("*"):
+            path.unlink()
+    commands = [
+        ["gen-synthetic", "--hierarchy", str(tsv), "--seed", "1", "--n-train", "6",
+         "--n-test", "2", "--out", str(root / "gen")],
+        ["sample-audit", "--hierarchy", str(tsv), "--seed", "1", "--draws", "20"],
+        ["pretrain", "--config", str(ini), "--out", str(root / "pre")],
+        ["train", "--config", str(ini), "--out", str(root / "tr")],
+        # the model trained just now, under the same hierarchy
+        ["eval", "--config", str(ini), "--checkpoint", str(root / "tr" / "model.ckpt"),
+         "--out", str(root / "ev")],
+    ]
+    codes = []
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            codes.append(main(argv))
+        assert codes[-1] in (0, 2), (argv[0], codes[-1], err.getvalue())
+        assert (codes[-1] == 2) == err.getvalue().startswith("error: "), err.getvalue()
+    # gen-synthetic and sample-audit read only the hierarchy: both take it, or neither
+    assert len(set(codes[:2])) == 1
+
+
 # ------------------------------------------------------------ INI validation
 
 

@@ -25,6 +25,7 @@ from hmlc.encoder import EncoderConfig, encode_record
 from hmlc.hierarchy import parse_hierarchy
 from hmlc.metrics import NonUnitInput
 from hmlc.model import ModelConfig, init_model
+from hmlc.optim import NonFiniteLoss
 from hmlc.sampling import ContrastiveBatch, LevelDraws, SamplingError, build_batch
 from hmlc.synthetic import make_synthetic_corpus
 
@@ -272,6 +273,23 @@ def test_pretrain_updates_encoder_and_logs_losses():
         for k, v in model.encoder.named().items()
     )
     assert changed
+
+
+def test_pretrain_nonfinite_names_epoch_and_step(monkeypatch):
+    # a NaN lands in the encoder table as the first batch is drawn, after the
+    # "before" diagnostics; the message once named the first step "step 0"
+    _, corpus, model = _tiny_setup()
+    draw = ct.build_batch
+
+    def planting(*args):
+        model.encoder.table.data[...] = np.nan
+        return draw(*args)
+
+    monkeypatch.setattr(ct, "build_batch", planting)
+    cfg = HmclConfig(strategy="all", repeats_per_level=(1, 1), batch_size=4, max_batches=2,
+                     proj_hidden=4, proj_dim=4)
+    with pytest.raises(NonFiniteLoss, match=r"^non-finite loss at epoch 1, step 1: "):
+        pretrain(corpus, model, cfg)
 
 
 def test_pretrain_deterministic():

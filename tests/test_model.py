@@ -17,7 +17,6 @@ from hmlc.model import (
     HmcnModel,
     LossConfig,
     ModelConfig,
-    NonFiniteLoss,
     TrainConfig,
     count_violations,
     evaluate,
@@ -31,6 +30,7 @@ from hmlc.model import (
     total_loss,
     train,
 )
+from hmlc.optim import NonFiniteLoss
 from hmlc.synthetic import make_synthetic_corpus
 
 from per_record import integrate, z_global, z_local
@@ -385,7 +385,7 @@ def test_train_early_stop(demo):
 def test_train_nonfinite_raises(demo):
     corpus, model = _tiny(demo)
     model.encoder.table.data[0, 0] = np.nan
-    with pytest.raises(NonFiniteLoss, match="epoch 1"):
+    with pytest.raises(NonFiniteLoss, match="epoch 1, step 1: "):
         train(corpus, model, TrainConfig(epochs=1, seed=0))
 
 

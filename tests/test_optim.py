@@ -1,4 +1,4 @@
-"""Adam optimizer state handling and hand-computed step values."""
+"""Adam optimizer state handling, hand-computed step values, and the training loop."""
 
 from __future__ import annotations
 
@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from hmlc import autodiff as ad
+from hmlc import contrastive as hc
+from hmlc import model as hm
+from hmlc.contrastive import HmclConfig
+from hmlc.corpus import Corpus, Record
+from hmlc.encoder import EncoderConfig
+from hmlc.hierarchy import parse_hierarchy
+from hmlc.model import ModelConfig, TrainConfig, init_model
 from hmlc.optim import AdamState, adam_step
+from hmlc.synthetic import make_synthetic_corpus
+
+import per_loop
 
 
 def _params(value=1.0):
@@ -175,3 +185,81 @@ def test_mixed_dtype_parameters_raise():
               "b": ad.tensor(np.ones(3), dtype=np.float64)}
     with pytest.raises(ad.ShapeMismatch):
         adam_step(params, AdamState(), lr=0.1)
+
+
+# ------------------------------------------------------------ the one loop
+
+
+LOOP_MODEL = ModelConfig(encoder=EncoderConfig(vocab_buckets=32, d=4, heads=1, max_tokens=4),
+                         head_hidden=4, cross_heads=1)
+
+
+def _loop_setup(unlabeled_every=0):
+    """24 records of a depth-2 taxonomy with an only child (B1), so "sibling"
+    skips draws; with ``unlabeled_every`` k, records 0, k, 2k, ... carry no
+    label, and a batch of only those raises ``EmptyBatch``."""
+    h = parse_hierarchy([("ROOT", "A"), ("ROOT", "B"), ("A", "A1"), ("A", "A2"), ("B", "B1")])
+    records = make_synthetic_corpus(h, 24, seed=13).records
+    if unlabeled_every:
+        records = [Record(r.id, r.fields, r.labels * bool(i % unlabeled_every))
+                   for i, r in enumerate(records)]
+    model = init_model(np.random.default_rng(12), h, LOOP_MODEL)
+    return Corpus(h, records), model
+
+
+LOOP_CASES = {
+    # train: decay every 2 epochs, a ragged last batch (24 = 3·7 + 3)
+    "train-decay": (TrainConfig(epochs=5, batch_size=7, lr=5e-3, lr_decay=0.5,
+                                decay_every_epochs=2, seed=11), 0),
+    # train: early stop after a few epochs, at a bar the first ones miss
+    "train-early-stop": (TrainConfig(epochs=8, batch_size=8, lr=2e-2, decay_every_epochs=1,
+                                     seed=12, early_stop_f1=0.6), 0),
+    "pretrain-cap-0": (HmclConfig(strategy="all", repeats_per_level=(1, 2), batch_size=4,
+                                  max_batches=0, proj_hidden=4, proj_dim=4, seed=11), 0),
+    # six batches an epoch, a cap of 8 ends the run inside epoch 2; decay every 3
+    "pretrain-cap-across-epoch": (HmclConfig(
+        strategy="sibling", repeats_per_level=(1, 2), batch_size=4, lr=1e-2, lr_decay=0.5,
+        decay_every_batches=3, epochs=3, max_batches=8, proj_hidden=4, proj_dim=4, seed=12), 0),
+    # every other record unlabeled: batches of two unlabeled records are skipped
+    "pretrain-empty-batches": (HmclConfig(
+        strategy="level", repeats_per_level=(2, 1), batch_size=2, lr=1e-2, lr_decay=0.5,
+        decay_every_batches=4, epochs=2, proj_hidden=8, proj_dim=8, seed=13), 2),
+}
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_descend_matches_the_hand_written_loops(precision, case):
+    ad.set_default_dtype(precision)
+    cfg, unlabeled_every = LOOP_CASES[case]
+    runs = []
+    for module in (per_loop, hm if isinstance(cfg, TrainConfig) else hc):
+        corpus, model = _loop_setup(unlabeled_every)
+        if isinstance(cfg, TrainConfig):
+            result, arrays = module.train(corpus, model, cfg), {}
+        else:
+            result = module.pretrain(corpus, model, cfg)
+            arrays = {k: v.data for k, v in result.head.named().items()}
+            result = (result.history, result.skipped_empty_space, result.skipped_unsatisfiable,
+                      result.before.to_dict(), result.after.to_dict())
+        arrays.update({k: v.data for k, v in model.named().items()})
+        runs.append((result, arrays))
+    (ref, ref_arrays), (new, new_arrays) = runs
+    assert new == ref
+    assert ref_arrays.keys() == new_arrays.keys()
+    for name in ref_arrays:
+        assert ref_arrays[name].dtype == ad.default_dtype(), name
+        assert np.array_equal(ref_arrays[name], new_arrays[name]), name
+    history = ref if isinstance(cfg, TrainConfig) else ref[0]
+    lrs = [s.lr for s in history]
+    # each case reaches the corner it is named for
+    if case == "train-decay":
+        assert lrs == [5e-3, 5e-3, 2.5e-3, 2.5e-3, 1.25e-3]
+    elif case == "train-early-stop":
+        assert 1 < len(history) < cfg.epochs
+    elif case == "pretrain-cap-0":
+        assert history == []
+    elif case == "pretrain-cap-across-epoch":
+        assert len(history) == 8 and lrs[2:4] == [1e-2, 5e-3] and ref[1] > 0
+    else:
+        assert len(history) == 19 and len(set(lrs)) == 5  # 5 of 24 batches skipped
