@@ -126,7 +126,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g)  # own a copy; g may alias another node's grad
     else:
-        t.grad += g
+        t.grad += g  # in place: a parameter Adam packed holds a view of its buffer
 
 
 def _emit(data: np.ndarray, backward, checked: bool = False) -> Tensor:

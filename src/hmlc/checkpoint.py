@@ -98,7 +98,10 @@ def load_checkpoint(path):
             raw = payload[offset:offset + ent["nbytes"]]
             if len(raw) != ent["nbytes"]:
                 raise CheckpointError(f"{path}: truncated array {ent['name']!r}")
-            arrays[ent["name"]] = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"]).copy()
+            arr = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"])
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: array {ent['name']!r} holds a NaN or an inf")
+            arrays[ent["name"]] = arr.copy()
             offset += ent["nbytes"]
     except (KeyError, TypeError) as e:  # a field missing or of the wrong type
         raise CheckpointError(f"{path}: malformed array table ({e!r})") from e

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Corpus
+from .corpus import Corpus, CorpusError
 from .encoder import EncoderParams, encode_ids, encode_record, token_ids
 from .metrics import EmbeddingDiagnostics, embedding_diagnostics
 from .model import HmcnModel
@@ -178,6 +178,8 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
     """Adam ascent on L_cl over shuffled anchor batches, updating the encoder
     in place. Embedding diagnostics are measured with identical pair sampling
     before and after."""
+    if not len(corpus):
+        raise CorpusError("cannot pretrain on a corpus with no records")
     encoder = model.encoder
     rng = np.random.default_rng(cfg.seed)
     in_dim = len(encoder.cfg.fields) * encoder.cfg.d

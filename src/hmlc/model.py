@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Corpus, Record
+from .corpus import Corpus, CorpusError, Record
 from .encoder import (EncoderConfig, EncoderParams, encode_ids, encode_record, encode_records,
                       init_encoder, token_ids)
 from .hierarchy import LabelHierarchy, LengthMismatch, repair_bits, validate_assignment
@@ -244,6 +244,8 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
     forward passes (training-time estimates, no extra inference sweep)."""
     loss_cfg = loss_cfg or LossConfig()
     n = len(corpus)
+    if not n:
+        raise CorpusError("cannot train on a corpus with no records")
     ids, keys = token_ids(corpus.records, model.encoder.cfg)
     preds = np.zeros((n, model.hierarchy.m), dtype=np.uint8)
 

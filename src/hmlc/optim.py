@@ -6,15 +6,14 @@ The update follows the original formulation:
     v_t = b2*v + (1-b2)*g^2        v_hat = v_t / (1 - b2^t)
     p  -= lr * m_hat / (sqrt(v_hat) + eps)
 
-Parameters with a ``None`` gradient are treated as having zero gradient:
-their moments still decay and the bias-corrected step is applied.
-
-One step is one update over flat buffers: the gradients are concatenated
-into one array, and the moments and the step are a handful of in-place
-ufuncs over all parameters at once, each parameter then subtracting its
-slice. The elementwise operations are those of the formulas above in the
-same order, so the result is bit for bit that of updating each parameter
-on its own.
+The first step packs the parameters into one buffer of five rows (values,
+gradients, m, v, work): each parameter's ``data`` and ``grad`` become views
+of its slices of the first two rows, and a ``None`` gradient packs as zeros
+(its moments still decay). The tape then adds gradients straight into the
+buffer, and a step is a handful of in-place ufuncs over whole rows, the
+formulas' operations in their order, so bit for bit a per-parameter update.
+A step leaves the gradient row at zero. Assign a packed ``data`` or ``grad``
+in place: a step raises ``ShapeMismatch`` if one was rebound.
 """
 
 from __future__ import annotations
@@ -33,33 +32,33 @@ class NonFiniteLoss(NonFiniteValue):
 
 @dataclass
 class AdamState:
-    """Step count and moments. The first step fixes the layout (parameter
-    names and shapes in iteration order, and their one dtype); ``m[name]``
-    and ``v[name]`` are views, in the parameter's shape, into flat buffers."""
+    """Step count and the packed parameters: ``flat`` holds the rows values,
+    gradients, m, v and work; ``packed`` lists ``(name, tensor, data, grad)``
+    in iteration order, ``data`` and ``grad`` being the tensor's two views."""
 
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    layout: tuple = ()
-    # rows: m, v, then two work rows for the gradient and the step
     flat: np.ndarray | None = None
-    updates: list[np.ndarray] = field(default_factory=list)
+    packed: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def _allocate(state: AdamState, layout: tuple) -> None:
-    dtypes = {dtype for _, _, dtype in layout}
+def _pack(params: dict[str, Tensor], state: AdamState) -> None:
+    dtypes = {p.data.dtype for p in params.values()}
     if len(dtypes) != 1:
         raise ShapeMismatch(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
-    sizes = [int(np.prod(shape)) for _, shape, _ in layout]
-    state.flat = np.zeros((4, sum(sizes)), dtype=dtypes.pop())
-    state.layout = layout
+    for name, p in params.items():
+        if p.grad is not None and p.grad.shape != p.data.shape:
+            raise ShapeMismatch(f"gradient shape {p.grad.shape} vs parameter {p.data.shape} "
+                                f"for {name}")
+    state.flat = np.zeros((5, sum(p.data.size for p in params.values())), dtype=dtypes.pop())
     start = 0
-    for (name, shape, _), size in zip(layout, sizes):
-        span = slice(start, start + size)
-        state.m[name] = state.flat[0, span].reshape(shape)
-        state.v[name] = state.flat[1, span].reshape(shape)
-        state.updates.append(state.flat[2, span].reshape(shape))
-        start += size
+    for name, p in params.items():
+        span = slice(start, start + p.data.size)
+        data, grad = (row[span].reshape(p.data.shape) for row in state.flat[:2])
+        data[...] = p.data
+        grad[...] = 0.0 if p.grad is None else p.grad
+        p.data, p.grad = data, grad
+        state.packed.append((name, p, data, grad))
+        start += p.data.size
 
 
 def adam_step(
@@ -70,25 +69,18 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    grads = []
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif g.shape != p.data.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} vs parameter {p.data.shape} for {name}")
-        grads.append(g.ravel())
-    layout = tuple((name, p.data.shape, p.data.dtype) for name, p in params.items())
     if state.flat is None:
-        _allocate(state, layout)
-    elif layout != state.layout:
-        raise ShapeMismatch("parameter names, shapes or dtype differ from Adam's first step")
+        _pack(params, state)
+    elif len(params) != len(state.packed) or any(
+            p is not packed or p.data is not data or p.grad is not grad or name != packed_name
+            for (name, p), (packed_name, packed, data, grad) in zip(params.items(), state.packed)):
+        raise ShapeMismatch("parameters differ from those Adam packed at its first step, "
+                            "or a packed data or grad was rebound rather than assigned in place")
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    m, v, g, tmp = state.flat
-    np.concatenate(grads, out=g)
+    values, g, m, v, tmp = state.flat
     np.multiply(g, 1.0 - beta1, out=tmp)
     m *= beta1
     m += tmp
@@ -96,15 +88,15 @@ def adam_step(
     g *= 1.0 - beta2
     v *= beta2
     v += g
-    # g becomes lr·(m/c1) / (sqrt(v/c2) + eps), the step state.updates views
+    # g becomes the step lr·(m/c1) / (sqrt(v/c2) + eps)
     np.divide(m, c1, out=g)
     g *= lr
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += eps
     g /= tmp
-    for p, update in zip(params.values(), state.updates):
-        p.data -= update
+    values -= g
+    g.fill(0.0)
 
 
 def descend(params: dict[str, Tensor], loss_of: Callable[[np.ndarray], Tensor | None], n: int,
@@ -115,13 +107,13 @@ def descend(params: dict[str, Tensor], loss_of: Callable[[np.ndarray], Tensor | 
     or returns ``None`` to skip the batch, which is then not a step. lr decays by
     ``lr_decay`` every ``decay_every`` steps; at most ``max_steps`` steps run."""
     state = AdamState()
+    zero_grads(params)  # once: from the first step on, each step leaves them at zero
     done = 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             if max_steps is not None and done >= max_steps:
                 return
-            zero_grads(params)
             try:
                 with Tape() as tape:
                     loss = loss_of(order[start:start + batch_size])

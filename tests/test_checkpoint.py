@@ -194,9 +194,10 @@ def trained(tmp_path_factory):
        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 7)), max_size=4))
 def test_fuzzed_checkpoint_loads_or_exits_cleanly(trained, cut, flips):
     # truncation and bit flips anywhere in the file: load_checkpoint either
-    # returns or raises an error that main reports as exit 2 or 3; a file
-    # that loads may still hold a bad scope (exit 2 or 3) or non-finite
-    # weights (exit 1), but never escapes main as a traceback
+    # returns or raises an error that main reports as exit 2 or 3 (a NaN or
+    # an inf in an array is exit 2); a file that loads may still hold a bad
+    # scope (exit 2 or 3) or finite weights that overflow (exit 1), but never
+    # escapes main as a traceback
     from hmlc.cli import main
 
     blob = bytearray(trained["raw"])

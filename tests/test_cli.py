@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hmlc import autodiff as ad
 from hmlc import contrastive
-from hmlc.checkpoint import load_checkpoint
+from hmlc.checkpoint import load_checkpoint, save_checkpoint
 from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, main
 from hmlc.config import load_run_config
 from hmlc.hierarchy import load_hierarchy
@@ -695,6 +695,24 @@ def test_infer_truncated_checkpoint(ws, tmp_path, capsys, keep):
                "--input", str(ws["data"] / "test.jsonl")])
     assert rc == 2
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "train"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_checkpoint_array_exits_input(ws, tmp_path, capsys, command, bad):
+    # each once exited 1 with "operation produced NaN or Inf" (train: "non-finite
+    # loss at epoch 1, step 1"), naming neither the file nor the array
+    arrays, header = load_checkpoint(ws["tr1"] / "model.ckpt")
+    arrays["global.b0"][1] = bad
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, arrays, header["config_hash"], meta=header["meta"])
+    out = tmp_path / "out"
+    argv = {"infer": ["--checkpoint", str(path), "--input", str(ws["data"] / "test.jsonl")],
+            "eval": ["--config", str(ws["ini"]), "--checkpoint", str(path)],
+            "train": ["--config", str(ws["ini_quick"]), "--resume", str(path)]}[command]
+    assert main([command, "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: array 'global.b0' holds a NaN or an inf\n"
+    assert not list(out.glob("*.ckpt")) and not list(out.glob("*.json*"))
 
 
 def test_infer_empty_input(ws, tmp_path, capsys):

@@ -20,7 +20,7 @@ from hmlc.contrastive import (
     project,
     project_corpus,
 )
-from hmlc.corpus import Corpus
+from hmlc.corpus import Corpus, CorpusError
 from hmlc.encoder import EncoderConfig, encode_record
 from hmlc.hierarchy import parse_hierarchy
 from hmlc.metrics import NonUnitInput
@@ -258,6 +258,19 @@ def test_pretrain_zero_steps_keeps_encoder():
     for k, v in model.encoder.named().items():
         assert np.array_equal(before[k], v.data), k
     assert result.before.to_dict() == result.after.to_dict()
+
+
+def test_pretrain_on_no_records_raises_corpus_error(monkeypatch):
+    # once "need at least one array to stack" from the diagnostics before training
+    h, _, model = _tiny_setup()
+
+    def no_work(*args):
+        raise AssertionError("pretrain did work before rejecting the corpus")
+
+    monkeypatch.setattr(ct, "init_projection", no_work)
+    monkeypatch.setattr(ct, "project_corpus", no_work)
+    with pytest.raises(CorpusError, match="no records"):
+        pretrain(Corpus(h, []), model, HmclConfig(proj_hidden=4, proj_dim=4))
 
 
 def test_pretrain_updates_encoder_and_logs_losses():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hmlc import autodiff as ad
-from hmlc.corpus import Corpus
+from hmlc.corpus import Corpus, CorpusError
 from hmlc.encoder import EncoderConfig
 from hmlc.hierarchy import LengthMismatch, parse_hierarchy, validate_assignment
 from hmlc.metrics import micro_macro_f1
@@ -254,6 +254,17 @@ def test_total_loss_includes_regularizer(demo, demo_corpus, f64):
 def test_total_loss_empty_batch(demo_model):
     with pytest.raises(ValueError):
         total_loss([], demo_model, LossConfig())
+
+
+def test_train_on_no_records_raises_corpus_error(demo, demo_model, monkeypatch):
+    # once a bare "not enough values to unpack" from the epoch loop
+    def no_work(*args):
+        raise AssertionError("train did work before rejecting the corpus")
+
+    monkeypatch.setattr("hmlc.model.token_ids", no_work)
+    monkeypatch.setattr("hmlc.model.descend", no_work)
+    with pytest.raises(CorpusError, match="no records"):
+        train(Corpus(demo, []), demo_model, TrainConfig(epochs=1))
 
 
 def test_loss_config_validation():

@@ -44,12 +44,13 @@ def test_moments_decay_after_zero_grad_step(f64):
     st = AdamState()
     params["p"].grad = np.array([0.5])
     adam_step(params, st, lr=0.1)
-    m_before = st.m["p"].copy()
-    params["p"].grad = np.zeros(1)
+    m = st.flat[2]  # the first moments
+    m_before = m.copy()
+    assert params["p"].grad[0] == 0.0  # the step left the gradient at zero
     p_before = params["p"].data.copy()
     adam_step(params, st, lr=0.1)
     # first moment decays by beta1 and the parameter still moves on momentum
-    assert np.allclose(st.m["p"], 0.9 * m_before)
+    assert np.allclose(m, 0.9 * m_before)
     assert params["p"].data[0] != p_before[0]
 
 
@@ -61,7 +62,7 @@ def test_hand_computed_scalar_steps(f64):
     params["p"].grad = np.array([0.5])
     adam_step(params, st, lr=0.1)
     assert params["p"].data[0] == pytest.approx(0.9000000019999999, abs=1e-12)
-    params["p"].grad = np.array([0.25])
+    params["p"].grad[...] = 0.25  # packed: assigned in place
     adam_step(params, st, lr=0.1)
     assert params["p"].data[0] == pytest.approx(0.8067820404774622, abs=1e-12)
 
@@ -70,8 +71,9 @@ def test_constant_gradient_step_size_approaches_lr(f64):
     params = _params(0.0)
     st = AdamState()
     last = params["p"].data[0]
+    params["p"].grad = np.zeros(1)
     for _ in range(200):
-        params["p"].grad = np.array([3.0])
+        params["p"].grad += 3.0
         adam_step(params, st, lr=0.01)
     delta = last - params["p"].data[0]
     # with a constant gradient the bias-corrected update tends to lr per step
@@ -96,7 +98,7 @@ def test_multiple_parameters_independent(f64):
     adam_step(params, st, lr=0.1)
     assert params["a"].data[0] < 1.0
     assert params["b"].data[0] > 2.0
-    assert set(st.m) == {"a", "b"}
+    assert [name for name, *_ in st.packed] == ["a", "b"]
 
 
 def reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -135,29 +137,60 @@ def test_flat_update_bitwise_equals_per_parameter_loop(dtype):
     ref = {name: ad.Tensor(p.data.copy()) for name, p in params.items()}
     state, ref_state = AdamState(), {"step": 0, "m": {}, "v": {}}
     lr = 0.01
-    for step in range(60):
+    for step in range(500):
         for name, p in params.items():
+            # after the first step each gradient is a view of the packed buffer,
+            # at zero, and is written in place; a None one is left at zero
             if name == "unused" or (name == "b" and step % 3 == 0):
                 g = None
             elif name == "table":
-                # an embedding table's gradient: a few touched rows, the rest zero
-                g = np.zeros(p.shape, dtype)
+                # an embedding table's gradient: a few rows scatter-added into zeros
+                g = np.zeros(p.shape, dtype) if step == 0 else p.grad
                 rows = rng.integers(0, p.shape[0], size=6)
                 np.add.at(g, rows, rng.normal(size=(6, p.shape[1])).astype(dtype))
             else:
                 g = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=p.shape).astype(dtype)
-            p.grad = g
+                if step:
+                    p.grad[...] = g
+            if step == 0:
+                p.grad = g
             ref[name].grad = None if g is None else g.copy()
         adam_step(params, state, lr)
         reference_adam_step(ref, ref_state, lr)
-        if step % 20 == 19:
+        assert not state.flat[1].any()  # the step left every gradient at zero
+        if step % 100 == 99:
             lr *= 0.8
-    assert state.step == ref_state["step"] == 60
+    assert state.step == ref_state["step"] == 500
     for name, p in params.items():
         assert p.data.dtype == dtype
+        assert np.shares_memory(p.data, state.flat[0]) and np.shares_memory(p.grad, state.flat[1])
         assert np.array_equal(p.data, ref[name].data), name
-        assert np.array_equal(state.m[name], ref_state["m"][name]), name
-        assert np.array_equal(state.v[name], ref_state["v"][name]), name
+    for row, moments in ((2, ref_state["m"]), (3, ref_state["v"])):
+        assert np.array_equal(state.flat[row],
+                              np.concatenate([moments[name].ravel() for name in params]))
+
+
+@pytest.mark.parametrize("rebound", ["data", "grad"])
+def test_rebinding_a_packed_parameter_raises(rebound):
+    params = {"a": ad.tensor(np.ones(3)), "b": ad.tensor(np.ones((2, 2)))}
+    st = AdamState()
+    params["b"].grad = np.full((2, 2), 0.5)
+    adam_step(params, st, lr=0.1)
+    before = st.flat.copy()
+    # the same shape, dtype and values, but no longer the packed view
+    setattr(params["b"], rebound, getattr(params["b"], rebound).copy())
+    with pytest.raises(ad.ShapeMismatch, match="rebound"):
+        adam_step(params, st, lr=0.1)
+    assert st.step == 1 and np.array_equal(st.flat, before)
+
+
+def test_wrong_gradient_shape_at_the_first_step_packs_nothing():
+    params = {"a": ad.tensor(np.ones(3)), "b": ad.tensor(np.ones((2, 2)))}
+    params["b"].grad = np.ones(4)
+    st = AdamState()
+    with pytest.raises(ad.ShapeMismatch, match="for b"):
+        adam_step(params, st, lr=0.1)
+    assert st.flat is None and st.step == 0 and params["b"].grad.shape == (4,)
 
 
 @pytest.mark.parametrize("change", ["added", "removed", "renamed", "reshaped", "dtype"])
@@ -263,3 +296,23 @@ def test_descend_matches_the_hand_written_loops(precision, case):
         assert len(history) == 8 and lrs[2:4] == [1e-2, 5e-3] and ref[1] > 0
     else:
         assert len(history) == 19 and len(set(lrs)) == 5  # 5 of 24 batches skipped
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_train_after_pretrain_repacks_the_encoder(precision):
+    # pretrain packs the encoder with its projection head, train then packs the
+    # whole model again; stale gradients from before either run are cleared
+    ad.set_default_dtype(precision)
+    runs = []
+    for pretrain, train in ((per_loop.pretrain, per_loop.train), (hc.pretrain, hm.train)):
+        corpus, model = _loop_setup()
+        params = model.named()
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        result = pretrain(corpus, model, LOOP_CASES["pretrain-cap-across-epoch"][0])
+        history = train(corpus, model, LOOP_CASES["train-decay"][0])
+        runs.append((result.history, history, {k: v.data for k, v in params.items()}))
+    (ref_pre, ref_train, ref_arrays), (pre, train_history, arrays) = runs
+    assert pre == ref_pre and train_history == ref_train
+    for name in ref_arrays:
+        assert np.array_equal(ref_arrays[name], arrays[name]), name
