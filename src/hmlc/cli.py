@@ -25,7 +25,6 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import CheckpointError, ConfigHashMismatch, load_checkpoint, save_checkpoint
 from .config import (
-    PRECISIONS,
     ConfigError,
     RunConfig,
     canonical_json,
@@ -73,7 +72,10 @@ def _out_dir(path: str | None) -> Path | None:
     if path is None:
         return None
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way: the path itself, or one of its parents
+        raise ConfigError(f"--out {path}: {e.strerror}") from e
     return out
 
 
@@ -129,7 +131,7 @@ def _load_inputs(cfg: RunConfig, split: str = "train",
 
 def _build_model(cfg: RunConfig, h: LabelHierarchy) -> HmcnModel:
     if cfg.seed is None:
-        raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
+        raise ConfigError("seed is mandatory: set [run] seed")
     rng = np.random.default_rng(component_seeds(cfg.seed)["init"])
     return init_model(rng, h, cfg.model)
 
@@ -198,198 +200,179 @@ def _restore_model(ckpt_path) -> tuple[HmcnModel, dict]:
 # commands
 
 
-def cmd_gen_synthetic(args) -> int:
-    out = _out_dir(args.out)
-    with _sidecar(out):
-        if args.hierarchy:
-            h = load_hierarchy(args.hierarchy)
-            edges = h.canonical_edges()
-        else:
-            edges = [list(e) for e in DEMO_EDGES]
-            h = parse_hierarchy([tuple(e) for e in edges])
-        hier_path = out / "hierarchy.tsv"
-        hier_path.write_text("".join(f"{p}\t{c}\n" for p, c in edges))
-        split_seeds = [int(s.generate_state(1)[0]) for s in
-                       np.random.SeedSequence(component_seeds(args.seed)["synthetic"]).spawn(3)]
-        manifest = {"seed": args.seed, "hierarchy": hier_path.name, "splits": {}}
-        for name, n, seed in (("train", args.n_train, split_seeds[0]),
-                              ("val", args.n_val, split_seeds[1]),
-                              ("test", args.n_test, split_seeds[2])):
-            if n <= 0:
-                continue
-            corpus = make_synthetic_corpus(h, n, seed)
-            write_corpus(out / f"{name}.jsonl", corpus)
-            manifest["splits"][name] = {"file": f"{name}.jsonl", "n": n, "seed": seed}
-        _write_json(out / "manifest.json", manifest)
-        log.info("generated synthetic corpus into %s", out)
-        return EXIT_OK
+def cmd_gen_synthetic(args, out: Path) -> int:
+    if args.hierarchy:
+        h = load_hierarchy(args.hierarchy)
+        edges = h.canonical_edges()
+    else:
+        edges = [list(e) for e in DEMO_EDGES]
+        h = parse_hierarchy([tuple(e) for e in edges])
+    hier_path = out / "hierarchy.tsv"
+    hier_path.write_text("".join(f"{p}\t{c}\n" for p, c in edges))
+    split_seeds = [int(s.generate_state(1)[0]) for s in
+                   np.random.SeedSequence(component_seeds(args.seed)["synthetic"]).spawn(3)]
+    manifest = {"seed": args.seed, "hierarchy": hier_path.name, "splits": {}}
+    for name, n, seed in (("train", args.n_train, split_seeds[0]),
+                          ("val", args.n_val, split_seeds[1]),
+                          ("test", args.n_test, split_seeds[2])):
+        if n <= 0:
+            continue
+        corpus = make_synthetic_corpus(h, n, seed)
+        write_corpus(out / f"{name}.jsonl", corpus)
+        manifest["splits"][name] = {"file": f"{name}.jsonl", "n": n, "seed": seed}
+    _write_json(out / "manifest.json", manifest)
+    log.info("generated synthetic corpus into %s", out)
+    return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+def cmd_pretrain(args, out: Path | None) -> int:
+    cfg = load_run_config(args.config)
     ad.set_default_dtype(cfg.precision)
-    out = _out_dir(args.out or cfg.out)
-    with _sidecar(out):
-        h, corpus = _load_inputs(cfg, "train", repair=args.repair)
-        model = _build_model(cfg, h)
-        result = pretrain(corpus, model, cfg.hmcl)
-        diagnostics = {
-            "strategy": cfg.hmcl.strategy,
-            "steps": len(result.history),
-            "final_objective": result.history[-1].objective if result.history else None,
-            "alignment_before": result.before.alignment,
-            "alignment_after": result.after.alignment,
-            "uniformity_before": result.before.uniformity,
-            "uniformity_after": result.after.uniformity,
-            "skipped_empty_space": result.skipped_empty_space,
-            "skipped_unsatisfiable": result.skipped_unsatisfiable,
-        }
-        if out is not None:
-            _write_config(out, cfg)
-            scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
-            arrays = {k: v.data for k, v in model.encoder.named("encoder").items()}
-            save_checkpoint(out / "encoder.ckpt", arrays, scope_hash(scope),
-                            meta={"kind": "encoder", "scope": scope})
-            (out / "pretrain_history.jsonl").write_text(
-                "".join(s.to_json() + "\n" for s in result.history))
-        _report(out, "pretrain_diagnostics.json", diagnostics)
-        log.info("pretraining finished: %s", diagnostics)
-        return EXIT_OK
+    h, corpus = _load_inputs(cfg, "train", repair=args.repair)
+    model = _build_model(cfg, h)
+    result = pretrain(corpus, model, cfg.hmcl)
+    diagnostics = {
+        "strategy": cfg.hmcl.strategy,
+        "steps": len(result.history),
+        "final_objective": result.history[-1].objective if result.history else None,
+        "alignment_before": result.before.alignment,
+        "alignment_after": result.after.alignment,
+        "uniformity_before": result.before.uniformity,
+        "uniformity_after": result.after.uniformity,
+        "skipped_empty_space": result.skipped_empty_space,
+        "skipped_unsatisfiable": result.skipped_unsatisfiable,
+    }
+    if out is not None:
+        _write_config(out, cfg)
+        scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
+        arrays = {k: v.data for k, v in model.encoder.named("encoder").items()}
+        save_checkpoint(out / "encoder.ckpt", arrays, scope_hash(scope),
+                        meta={"kind": "encoder", "scope": scope})
+        (out / "pretrain_history.jsonl").write_text(
+            "".join(s.to_json() + "\n" for s in result.history))
+    _report(out, "pretrain_diagnostics.json", diagnostics)
+    log.info("pretraining finished: %s", diagnostics)
+    return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+def cmd_train(args, out: Path | None) -> int:
+    cfg = load_run_config(args.config)
     ad.set_default_dtype(cfg.precision)
-    out = _out_dir(args.out or cfg.out)
-    with _sidecar(out):
-        h, corpus = _load_inputs(cfg, "train", repair=args.repair)
-        model = _build_model(cfg, h)
-        init_mode = "random"
-        if args.init_checkpoint:
-            _load_under(args.init_checkpoint, "encoder", cfg, model)
-            init_mode = "pretrained"
-        elif args.resume:
-            _load_under(args.resume, "model", cfg, model)
-            init_mode = "resume"
-        history = train(corpus, model, cfg.train, cfg.loss)
-        summary = {
-            "init": init_mode,
-            "config_hash": config_hash(cfg),
-            "epochs_run": len(history),
-            "final": asdict(history[-1]) if history else None,
-        }
-        if out is not None:
-            _write_config(out, cfg)
-            (out / "history.jsonl").write_text(
-                "".join(s.to_json() + "\n" for s in history))
-            scope = model_scope(h.canonical_edges(), cfg.model, cfg.precision)
-            arrays = {k: v.data for k, v in model.named().items()}
-            save_checkpoint(out / "model.ckpt", arrays, scope_hash(scope),
-                            meta={"kind": "model", "scope": scope, "init": init_mode})
-        _report(out, "summary.json", summary)
-        log.info("training finished: %s", summary)
-        return EXIT_OK
+    h, corpus = _load_inputs(cfg, "train", repair=args.repair)
+    model = _build_model(cfg, h)
+    init_mode = "random"
+    if args.init_checkpoint:
+        _load_under(args.init_checkpoint, "encoder", cfg, model)
+        init_mode = "pretrained"
+    elif args.resume:
+        _load_under(args.resume, "model", cfg, model)
+        init_mode = "resume"
+    history = train(corpus, model, cfg.train, cfg.loss)
+    summary = {
+        "init": init_mode,
+        "config_hash": config_hash(cfg),
+        "epochs_run": len(history),
+        "final": asdict(history[-1]) if history else None,
+    }
+    if out is not None:
+        _write_config(out, cfg)
+        (out / "history.jsonl").write_text(
+            "".join(s.to_json() + "\n" for s in history))
+        scope = model_scope(h.canonical_edges(), cfg.model, cfg.precision)
+        arrays = {k: v.data for k, v in model.named().items()}
+        save_checkpoint(out / "model.ckpt", arrays, scope_hash(scope),
+                        meta={"kind": "model", "scope": scope, "init": init_mode})
+    _report(out, "summary.json", summary)
+    log.info("training finished: %s", summary)
+    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+def cmd_eval(args, out: Path | None) -> int:
+    cfg = load_run_config(args.config)
     ad.set_default_dtype(cfg.precision)
-    out = _out_dir(args.out or cfg.out)
-    with _sidecar(out):
-        h, corpus = _load_inputs(cfg, args.split, repair=args.repair)
-        model = init_model(np.random.default_rng(0), h, cfg.model)  # weights from the checkpoint
-        _load_under(args.checkpoint, "model", cfg, model)
-        payload = {"split": args.split, "threshold": cfg.loss.threshold}
-        for name, (report, violations) in evaluate(corpus, model, cfg.loss).items():
-            payload[name] = {**report.to_dict(), "violations": violations}
-        if args.scores:
-            scores = json.loads(Path(args.scores).read_text())
-            if not (isinstance(scores, dict) and all(
-                    isinstance(scores.get(k), list)
-                    and all(type(x) in (int, float) for x in scores[k]) for k in ("pos", "neg"))):
-                raise MetricsError(f"{args.scores}: expected an object whose 'pos' and 'neg' "
-                                   f"are lists of numbers")
-            ks = ks_statistic(scores["pos"], scores["neg"])
-            payload["ks"] = ks.to_dict()
-        _report(out, "eval.json", payload)
-        return EXIT_OK
+    h, corpus = _load_inputs(cfg, args.split, repair=args.repair)
+    model = init_model(np.random.default_rng(0), h, cfg.model)  # weights from the checkpoint
+    _load_under(args.checkpoint, "model", cfg, model)
+    payload = {"split": args.split, "threshold": cfg.loss.threshold}
+    for name, (report, violations) in evaluate(corpus, model, cfg.loss).items():
+        payload[name] = {**report.to_dict(), "violations": violations}
+    if args.scores:
+        scores = json.loads(Path(args.scores).read_text())
+        if not (isinstance(scores, dict) and all(
+                isinstance(scores.get(k), list)
+                and all(type(x) in (int, float) for x in scores[k]) for k in ("pos", "neg"))):
+            raise MetricsError(f"{args.scores}: expected an object whose 'pos' and 'neg' "
+                               f"are lists of numbers")
+        ks = ks_statistic(scores["pos"], scores["neg"])
+        payload["ks"] = ks.to_dict()
+    _report(out, "eval.json", payload)
+    return EXIT_OK
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args, out: Path | None) -> int:
     model, _header = _restore_model(args.checkpoint)
     h = model.hierarchy
     loss_cfg = LossConfig(threshold=args.threshold)
-    out = _out_dir(args.out)
     skipped = 0
     lines_out = []
-    with _sidecar(out):
-        for lineno, raw in enumerate(Path(args.input).read_bytes().splitlines(), start=1):
-            try:
-                parsed = parse_line(raw, model.cfg.encoder.fields)
-                if parsed is None:
-                    continue
-                obj, text = parsed
-                pred = forward(Record(obj["id"], text, np.zeros(h.m, dtype=np.uint8)), model)
-            except (MalformedLine, AllFieldsEmpty) as e:
-                skipped += 1
-                print(f"warning: skipped line {args.input}:{lineno}: {e}", file=sys.stderr)
+    for lineno, raw in enumerate(Path(args.input).read_bytes().splitlines(), start=1):
+        try:
+            parsed = parse_line(raw, model.cfg.encoder.fields)
+            if parsed is None:
                 continue
-            z = pred.z_final.data
-            bits = (z >= loss_cfg.threshold).astype(np.uint8)
-            if args.repair:
-                bits = repair_bits(h, bits)
-            lines_out.append(json.dumps({
-                "id": obj["id"],
-                "labels": [v for v in h.labels if bits[h.index[v]]],
-                "scores": {v: float(z[h.index[v]]) for v in h.labels},
-            }, sort_keys=True))
-        text = "".join(s + "\n" for s in lines_out)
-        if out is not None:
-            (out / "predictions.jsonl").write_text(text)
-        else:
-            sys.stdout.write(text)
-        if skipped and args.strict:
-            print(f"error: {skipped} malformed input lines skipped", file=sys.stderr)
-            return EXIT_INPUT
-        return EXIT_OK
+            obj, text = parsed
+            pred = forward(Record(obj["id"], text, np.zeros(h.m, dtype=np.uint8)), model)
+        except (MalformedLine, AllFieldsEmpty) as e:
+            skipped += 1
+            print(f"warning: skipped line {args.input}:{lineno}: {e}", file=sys.stderr)
+            continue
+        z = pred.z_final.data
+        bits = (z >= loss_cfg.threshold).astype(np.uint8)
+        if args.repair:
+            bits = repair_bits(h, bits)
+        lines_out.append(json.dumps({
+            "id": obj["id"],
+            "labels": [v for v in h.labels if bits[h.index[v]]],
+            "scores": {v: float(z[h.index[v]]) for v in h.labels},
+        }, sort_keys=True))
+    text = "".join(s + "\n" for s in lines_out)
+    if out is not None:
+        (out / "predictions.jsonl").write_text(text)
+    else:
+        sys.stdout.write(text)
+    if skipped and args.strict:
+        print(f"error: {skipped} malformed input lines skipped", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
-def cmd_sample_audit(args) -> int:
+def cmd_sample_audit(args, out: Path | None) -> int:
     h = load_hierarchy(args.hierarchy)
-    out = _out_dir(args.out)
-    with _sidecar(out):
-        counts = {"label": audit_label_draws(h, args.strategy, args.draws, args.seed)}
-        if args.corpus:
-            corpus = load_corpus(args.corpus, h, repair=args.repair)
-            counts["instance"] = audit_instance_draws(corpus, args.strategy, args.draws, args.seed)
-        for stage, stage_counts in counts.items():
-            if out is not None:
-                write_audit_csv(out / f"{stage}_stage.csv", stage_counts, args.strategy,
-                                stage=stage)
-            else:
-                for (v, u), n in sorted(stage_counts.items()):
-                    print(f"{args.strategy},{stage},{v},{u},{n}")
-        return EXIT_OK
+    counts = {"label": audit_label_draws(h, args.strategy, args.draws, args.seed)}
+    if args.corpus:
+        corpus = load_corpus(args.corpus, h, repair=args.repair)
+        counts["instance"] = audit_instance_draws(corpus, args.strategy, args.draws, args.seed)
+    for stage, stage_counts in counts.items():
+        if out is not None:
+            write_audit_csv(out / f"{stage}_stage.csv", stage_counts, args.strategy,
+                            stage=stage)
+        else:
+            for (v, u), n in sorted(stage_counts.items()):
+                print(f"{args.strategy},{stage},{v},{u},{n}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
-def _overrides(args) -> dict:
-    """The flags that win over the INI key of the same name."""
-    return {k: getattr(args, k, None) for k in ("seed", "out", "strategy", "precision")}
-
-
 # flags that several subcommands read; each subcommand names the ones it takes
 _SHARED_FLAGS = {
     "--config": dict(help="INI run configuration"),
-    "--seed": dict(type=int, help="run seed (mandatory here or in config)"),
+    "--seed": dict(type=int, help="seed of the generated corpus or of the draws"),
     "--out": dict(help="output directory for artifacts"),
-    "--strategy": dict(choices=STRATEGIES, help="negative sampling strategy"),
     "--repair": dict(action="store_true",
                      help="activate ancestor repair on corpus load / prediction output"),
-    "--precision": dict(choices=PRECISIONS, help="float width"),
 }
 
 
@@ -405,17 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pretrain", help="contrastive pretraining of the encoder")
-    _add_shared(sp, *_SHARED_FLAGS, required=("--config",))
+    _add_shared(sp, "--config", "--out", "--repair", required=("--config",))
     sp.set_defaults(fn=cmd_pretrain)
 
     sp = sub.add_parser("train", help="train the classifier")
-    _add_shared(sp, *_SHARED_FLAGS, required=("--config",))
+    _add_shared(sp, "--config", "--out", "--repair", required=("--config",))
     sp.add_argument("--init-checkpoint", help="encoder checkpoint from pretraining")
     sp.add_argument("--resume", help="model checkpoint to continue training from")
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
-    _add_shared(sp, "--config", "--out", "--repair", "--precision", required=("--config",))
+    _add_shared(sp, "--config", "--out", "--repair", required=("--config",))
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", choices=("train", "val", "test"), default="test")
     sp.add_argument("--scores", help="JSON file {'pos': [...], 'neg': [...]} for a KS report")
@@ -431,12 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("sample-audit", help="tabulate negative-sampling draw frequencies")
-    _add_shared(sp, "--seed", "--out", "--strategy", "--repair", required=("--seed",))
+    _add_shared(sp, "--seed", "--out", "--repair", required=("--seed",))
+    sp.add_argument("--strategy", choices=STRATEGIES, default=HmclConfig.strategy,
+                    help="negative sampling strategy")
     sp.add_argument("--hierarchy", required=True, help="hierarchy file")
     sp.add_argument("--corpus", help="record file for the instance-stage audit")
     sp.add_argument("--draws", type=int, default=100_000,
                     help="label-stage draws per anchor label / minimum instance draws")
-    sp.set_defaults(fn=cmd_sample_audit, strategy=HmclConfig.strategy)
+    sp.set_defaults(fn=cmd_sample_audit)
 
     sp = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
     _add_shared(sp, "--seed", "--out", required=("--seed", "--out"))
@@ -452,10 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = _out_dir(args.out)
         # a numpy overflow, invalid operation or division by zero fails the
         # command instead of going on with an inf or a NaN
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.fn(args)
+        with _sidecar(out), np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args, out)
     except (ConfigHashMismatch, ad.ShapeMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -1,4 +1,4 @@
-"""Run configuration: an INI file plus command-line overrides.
+"""Run configuration: an INI file.
 
 The config dataclasses declare the INI keys (``SECTIONS``): each field of
 ``EncoderConfig``, ``ModelConfig``, ``LossConfig``, ``TrainConfig`` and
@@ -47,7 +47,6 @@ class RunConfig:
     hmcl: HmclConfig
     seed: int | None = None  # only commands that build a model require it
     precision: str = "f32"
-    out: str | None = None
 
     def __post_init__(self):
         if self.precision not in PRECISIONS:
@@ -71,7 +70,7 @@ def _keys(cls, *code_set: str) -> dict[str, type]:
 # every INI key by section, with the type its value is read as
 SECTIONS = {
     "paths": dict.fromkeys(("hierarchy", "train", "val", "test"), str),
-    "run": {"seed": int, "precision": str, "out": str},
+    "run": {"seed": int, "precision": str},
     "encoder": _keys(EncoderConfig),
     "model": _keys(ModelConfig, "encoder"),
     "loss": _keys(LossConfig, "clamp_eps"),
@@ -94,16 +93,12 @@ def _parse(kind, raw: str):
     return kind(raw)
 
 
-def _section(parser, name: str, given: dict) -> dict:
-    """The values of section ``name``. A flag in ``given`` wins over the key
-    of its name; an empty or absent key is left out, so its field keeps the
-    dataclass default."""
+def _section(parser, name: str) -> dict:
+    """The values of section ``name``. An empty or absent key is left out, so
+    its field keeps the dataclass default."""
     section = parser[name] if parser.has_section(name) else {}
     values = {}
     for key, kind in SECTIONS[name].items():
-        if key in given:
-            values[key] = given[key]
-            continue
         raw = (section.get(key) or "").strip()
         if raw:
             try:
@@ -125,17 +120,14 @@ def _check_keys(parser) -> None:
         raise ConfigError(f"unknown key {', '.join(sorted(unknown))}")
 
 
-def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse the INI file; ``overrides`` may carry seed/out/strategy/precision
-    values from command-line flags, which win over the file's key of the same
-    name."""
+def load_run_config(path) -> RunConfig:
+    """Parse the INI file at ``path``."""
     parser = configparser.ConfigParser()
-    given = {k: v for k, v in (overrides or {}).items() if v is not None and v != ""}
     try:
         if not parser.read(path):
             raise FileNotFoundError(f"config file not found: {path}")
         _check_keys(parser)
-        ini = {name: _section(parser, name, given) for name in SECTIONS}
+        ini = {name: _section(parser, name) for name in SECTIONS}
     except configparser.Error as e:  # duplicate sections or options, bad syntax or %
         raise ConfigError(f"{path}: {e}") from e
 

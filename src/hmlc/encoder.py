@@ -48,6 +48,9 @@ class EncoderConfig:
             raise EncoderError(f"heads must be >= 1 and divide d={self.d}, got {self.heads}")
         if self.d < 1 or self.max_tokens < 1 or not self.fields or self.vocab_buckets < 1:
             raise EncoderError("d >= 1, max_tokens >= 1, vocab_buckets >= 1, at least one field")
+        repeated = sorted({f for f in self.fields if self.fields.count(f) > 1})
+        if repeated:
+            raise EncoderError(f"fields repeat {', '.join(map(repr, repeated))}")
 
     @property
     def table_rows(self) -> int:

@@ -105,26 +105,32 @@ def descend(params: dict[str, Tensor], loss_of: Callable[[np.ndarray], Tensor | 
     """Mini-batch Adam over ``n`` items, reshuffled by ``rng`` each epoch, yielding
     ``(loss, lr)`` after each step. ``loss_of(idx)`` records a batch's scalar loss,
     or returns ``None`` to skip the batch, which is then not a step. lr decays by
-    ``lr_decay`` every ``decay_every`` steps; at most ``max_steps`` steps run."""
+    ``lr_decay`` every ``decay_every`` steps; at most ``max_steps`` steps run.
+    However the loop ends (run out, capped, closed or failed), each parameter
+    gets its own copy of its values and no gradient, so the packed buffer goes."""
     state = AdamState()
     zero_grads(params)  # once: from the first step on, each step leaves them at zero
     done = 0
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            if max_steps is not None and done >= max_steps:
-                return
-            try:
-                with Tape() as tape:
-                    loss = loss_of(order[start:start + batch_size])
-                    if loss is None:
-                        continue
-                    tape.backward(loss)
-            except NonFiniteValue as e:
-                raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch}, step {done + 1}: {e}") from e
-            adam_step(params, state, lr)
-            done += 1
-            yield loss.item(), lr  # outside the tape: the caller may stop here
-            if done % decay_every == 0:
-                lr *= lr_decay
+    try:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                if max_steps is not None and done >= max_steps:
+                    return
+                try:
+                    with Tape() as tape:
+                        loss = loss_of(order[start:start + batch_size])
+                        if loss is None:
+                            continue
+                        tape.backward(loss)
+                except NonFiniteValue as e:
+                    raise NonFiniteLoss(
+                        f"non-finite loss at epoch {epoch}, step {done + 1}: {e}") from e
+                adam_step(params, state, lr)
+                done += 1
+                yield loss.item(), lr  # outside the tape: the caller may stop here
+                if done % decay_every == 0:
+                    lr *= lr_decay
+    finally:
+        for _name, p, data, _grad in state.packed:
+            p.data, p.grad = data.copy(), None

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import contextlib
 import csv
 import io
 import json
 import logging
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from hmlc import autodiff as ad
 from hmlc import contrastive
 from hmlc.checkpoint import load_checkpoint, save_checkpoint
-from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, main
+from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, build_parser, main
 from hmlc.config import load_run_config
 from hmlc.hierarchy import load_hierarchy
 from hmlc.corpus import load_corpus
@@ -230,21 +233,14 @@ def test_train_artifacts(ws):
 
 
 def test_train_byte_identical_reruns(ws):
-    # distinct --out dirs: every artifact except the out path itself matches
-    for name in ("model.ckpt", "history.jsonl"):
-        assert (ws["tr1"] / name).read_bytes() == (ws["tr1b"] / name).read_bytes()
-    summaries = []
-    configs = []
-    for out in (ws["tr1"], ws["tr1b"]):
-        summary = json.loads((out / "summary.json").read_text())
-        summary.pop("config_hash")  # covers the out path, differs by design
-        summaries.append(summary)
-        config = json.loads((out / "config.json").read_text())
-        config["config"].pop("out")
-        config.pop("hash")
-        configs.append(config)
-    assert summaries[0] == summaries[1]
-    assert configs[0] == configs[1]
+    # one INI, two --out dirs: every artifact matches byte for byte, the config
+    # and its hash too, since the output directory is no setting of the run
+    # (config.json and the summary's hash once recorded it)
+    artifacts = [{p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.log"}
+                 for out in (ws["tr1"], ws["tr1b"])]
+    assert set(artifacts[0]) == {"config.json", "history.jsonl", "model.ckpt", "summary.json"}
+    assert artifacts[0] == artifacts[1]
+    assert "out" not in json.loads(artifacts[0]["config.json"])["config"]
 
 
 def test_train_random_init(ws, tmp_path):
@@ -385,21 +381,22 @@ def test_eval_rejects_reordered_hierarchy(ws, tmp_path, capsys):
 
 def test_eval_precision_mismatch(ws, capsys):
     ckpt = str(ws["tr1"] / "model.ckpt")  # trained in f32
-    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
-                 "--precision", "f64"]) == 3
+    assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt]) == 3
     assert "the config's precision differs" in capsys.readouterr().err
-    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt,
-                 "--precision", "f32"]) == 0
+    assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt]) == 0
 
 
 def test_eval_config_precision_mismatch(ws, tmp_path, capsys):
-    # trained in f32; the INI's [run] precision = f64 is a mismatch
+    # trained in f32; an INI that names f32 loads it, one that names f64 does not
     ckpt = str(ws["tr1"] / "model.ckpt")
-    assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt]) == 3
-    assert "the config's precision differs" in capsys.readouterr().err
-    # the flag wins over the INI, as everywhere else
-    assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt,
-                 "--precision", "f32", "--out", str(tmp_path / "flag")]) == 0
+    for precision, code in (("f32", 0), ("f64", 3)):
+        ini = _ini_with(ws, tmp_path / f"{precision}.ini", {("run", "precision"): precision})
+        assert main(["eval", "--config", str(ini), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / precision)]) == code
+    assert capsys.readouterr().err == \
+        f"error: {ckpt}: the config's precision differs from the checkpoint's\n"
+    assert (tmp_path / "f32" / "eval.json").exists()
+    assert not (tmp_path / "f64" / "eval.json").exists()
 
 
 def test_eval_config_precision_omitted_or_matching(ws, tmp_path, capsys):
@@ -410,11 +407,10 @@ def test_eval_config_precision_omitted_or_matching(ws, tmp_path, capsys):
     # train --resume does: an f64 checkpoint under it is a mismatch
     assert main(["eval", "--config", str(ws["ini"]), "--checkpoint", ckpt]) == 3
     assert "the config's precision differs" in capsys.readouterr().err
-    for ini, flags in ((ws["ini"], ["--precision", "f64"]), (ws["ini_f64"], [])):
-        out = tmp_path / f"eval-{ini.stem}"
-        assert main(["eval", "--config", str(ini), "--checkpoint", ckpt, "--out", str(out),
-                     *flags]) == 0
-        assert (out / "eval.json").exists()
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(ws["ini_f64"]), "--checkpoint", ckpt,
+                 "--out", str(out)]) == 0
+    assert (out / "eval.json").exists()
 
 
 def test_eval_rejects_other_encoder_fields(ws, tmp_path, capsys):
@@ -440,7 +436,7 @@ def test_only_commands_that_build_a_model_need_a_seed(ws, tmp_path, capsys):
     assert (tmp_path / "noseed" / "eval.json").read_bytes() == \
         (tmp_path / "seeded" / "eval.json").read_bytes()
     assert main(["train", "--config", str(ini), "--out", str(tmp_path / "tr")]) == 2
-    assert "seed is mandatory: set [run] seed or pass --seed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: seed is mandatory: set [run] seed\n"
 
 
 def test_sidecar_log_is_closed_and_detached(ws, tmp_path, monkeypatch):
@@ -463,6 +459,21 @@ def test_sidecar_log_is_closed_and_detached(ws, tmp_path, monkeypatch):
     assert root.handlers == before
     assert len(opened) == 2
     assert all(h.stream is None for h in opened)  # FileHandler.close() drops the stream
+
+
+def test_out_in_the_way_of_a_file_exits_input(ws, tmp_path, capsys):
+    # each once ended in a FileExistsError or NotADirectoryError traceback
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for command, argv in (
+            ("gen-synthetic", ["--seed", "1"]),
+            ("train", ["--config", str(ws["ini_quick"])]),
+            ("infer", ["--checkpoint", str(ws["tr1"] / "model.ckpt"),
+                       "--input", str(ws["data"] / "test.jsonl")])):
+        for out, reason in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+            assert main([command, *argv, "--out", str(out)]) == 2, (command, out)
+            assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
+    assert afile.read_text() == "kept\n"
 
 
 # -------------------------------------------------------------------- infer
@@ -836,18 +847,37 @@ def test_sample_audit_repair_reaches_the_corpus(ws, tmp_path, capsys):
     ("gen-synthetic", "--repair"), ("gen-synthetic", "--precision"),
     ("sample-audit", "--precision"), ("eval", "--strategy"),
     ("eval", "--seed"), ("sample-audit", "--config"),
+    # run settings that only the INI sets
+    ("pretrain", "--seed"), ("pretrain", "--strategy"), ("pretrain", "--precision"),
+    ("train", "--seed"), ("train", "--strategy"), ("train", "--precision"),
+    ("eval", "--precision"),
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, command, flag):
     required = {"infer": ["--checkpoint", "c", "--input", "i"],
                 "eval": ["--config", "run.ini", "--checkpoint", "c"],
                 "gen-synthetic": ["--seed", "1", "--out", "o"],
-                "sample-audit": ["--hierarchy", "h", "--seed", "1"]}
+                "sample-audit": ["--hierarchy", "h", "--seed", "1"],
+                "pretrain": ["--config", "run.ini"], "train": ["--config", "run.ini"]}
     value = {"--config": ["run.ini"], "--seed": ["1"], "--strategy": ["all"],
              "--precision": ["f64"], "--repair": []}[flag]
     with pytest.raises(SystemExit) as exc:
         main([command, *required.get(command, []), flag, *value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert rows.keys() == sub.choices.keys()
+    for command, parser in sub.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert sorted(re.findall(r"`(--[a-z-]+)`", rows[command])) == \
+            sorted(a.option_strings[0] for a in options), command
+        # bold marks the required ones
+        assert sorted(re.findall(r"\*\*`(--[a-z-]+)`\*\*", rows[command])) == \
+            sorted(a.option_strings[0] for a in options if a.required), command
 
 
 def test_missing_hierarchy_path_fails_cleanly(ws, tmp_path, capsys):
@@ -984,6 +1014,14 @@ def test_unknown_ini_names_exit_input(ws, tmp_path, capsys, old, new, named):
     assert main(["train", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.ckpt").exists()
+
+def test_repeated_encoder_field_exits_input(ws, tmp_path, capsys):
+    # once trained and exited 0, encoding "name" twice under one special id
+    ini = _ini_with(ws, tmp_path / "fields.ini", {("encoder", "fields"): "name, name"})
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: fields repeat 'name'\n"
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
 
 @pytest.mark.parametrize("section,key,value", [
     ("train", "batch_size", "-1"), ("train", "batch_size", "0"), ("train", "epochs", "0"),

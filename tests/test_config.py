@@ -1,4 +1,4 @@
-"""INI run configuration, override precedence, and scope hashing."""
+"""INI run configuration and scope hashing."""
 
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ threshold = 0.4
 [run]
 seed = 7
 precision = f64
-out = runs/demo
 
 [train]
 epochs = 3
@@ -87,7 +86,6 @@ def test_full_parse(tmp_path):
     assert cfg.loss.threshold == 0.4
     assert cfg.seed == 7
     assert cfg.precision == "f64"
-    assert cfg.out == "runs/demo"
     assert cfg.train.epochs == 3
     assert cfg.train.early_stop_f1 == 0.9
     assert cfg.hmcl.strategy == "level"
@@ -104,7 +102,6 @@ def test_defaults_fill_missing_sections(tmp_path):
     assert cfg.hmcl.strategy == "sibling"
     assert cfg.hmcl.repeats_per_level == (10, 20, 50)
     assert cfg.precision == "f32"
-    assert cfg.out is None
 
 
 def test_component_seeds_fill_train_and_pretrain(tmp_path):
@@ -120,20 +117,10 @@ def test_seed_mandatory(tmp_path, demo):
     path = _write(tmp_path, "[paths]\nhierarchy = t.tsv\n")
     cfg = load_run_config(path)
     assert cfg.seed is None
-    with pytest.raises(ConfigError, match="seed is mandatory"):
+    with pytest.raises(ConfigError, match=r"seed is mandatory: set \[run\] seed$"):
         _build_model(cfg, demo)
-    cfg = load_run_config(path, overrides={"seed": 3})
-    assert cfg.seed == 3
-
-
-def test_overrides_win(tmp_path):
-    path = _write(tmp_path, FULL_INI)
-    cfg = load_run_config(path, overrides={
-        "seed": 99, "out": "elsewhere", "strategy": "all", "precision": "f32"})
-    assert cfg.seed == 99
-    assert cfg.out == "elsewhere"
-    assert cfg.hmcl.strategy == "all"
-    assert cfg.precision == "f32"
+    assert load_run_config(_write(tmp_path, "[paths]\nhierarchy = t.tsv\n"
+                                            "[run]\nseed = 3\n")).seed == 3
 
 
 def test_missing_hierarchy(tmp_path):
@@ -176,7 +163,7 @@ def test_config_hash_deterministic_and_sensitive(tmp_path):
     h1 = config_hash(load_run_config(p1))
     h2 = config_hash(load_run_config(p2))
     assert h1 == h2
-    bumped = load_run_config(p1, overrides={"seed": 8})
+    bumped = load_run_config(_write(tmp_path, FULL_INI.replace("seed = 7", "seed = 8"), "c.ini"))
     assert config_hash(bumped) != h1
 
 
@@ -226,11 +213,10 @@ def test_default_section_fills_the_sections_present(tmp_path):
         load_run_config(_write(tmp_path, "[DEFAULT]\nbogus = 1\n" + MINIMAL_INI))
 
 
-def test_strategy_flag_wins_before_validation(tmp_path):
+def test_invalid_strategy_fails_on_load(tmp_path):
     path = _write(tmp_path, MINIMAL_INI + "[hmcl]\nstrategy = nonsense\n")
-    with pytest.raises(SamplingError):
+    with pytest.raises(SamplingError, match="nonsense"):
         load_run_config(path)
-    assert load_run_config(path, overrides={"strategy": "all"}).hmcl.strategy == "all"
 
 
 def test_readme_example_loads_and_sets_every_key(tmp_path):

@@ -90,6 +90,10 @@ def test_config_validation():
         EncoderConfig(fields=())
     with pytest.raises(EncoderError):
         EncoderConfig(vocab_buckets=0)
+    # a repeated field once encoded twice under one special id, the second
+    # special row never used
+    with pytest.raises(EncoderError, match=r"^fields repeat 'description', 'name'$"):
+        EncoderConfig(fields=("name", "description", "name", "description", "comments"))
     assert CFG.table_rows == 3 + 64
 
 

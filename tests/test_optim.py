@@ -316,3 +316,23 @@ def test_train_after_pretrain_repacks_the_encoder(precision):
     assert pre == ref_pre and train_history == ref_train
     for name in ref_arrays:
         assert np.array_equal(ref_arrays[name], arrays[name]), name
+
+
+@pytest.mark.parametrize("case", ["train-decay", "train-early-stop", "pretrain-cap-across-epoch"])
+def test_parameters_own_their_memory_after_the_loop(case):
+    # the loop packs the parameters into one buffer; when it ends (run out,
+    # stopped early with the loop suspended, or capped) each parameter gets
+    # its own copy back, and the buffer can go
+    cfg = LOOP_CASES[case][0]
+    corpus, model = _loop_setup()
+    if isinstance(cfg, TrainConfig):
+        history = hm.train(corpus, model, cfg)
+        params = model.named()
+    else:
+        result = hc.pretrain(corpus, model, cfg)
+        history = result.history
+        params = {**model.encoder.named("encoder"), **result.head.named()}
+    assert history  # at least one step packed the parameters
+    for name, p in params.items():
+        assert p.data.base is None and p.data.flags.owndata, name
+        assert p.grad is None, name
