@@ -39,7 +39,7 @@ from .config import (
 from .contrastive import HmclConfig, pretrain
 from .corpus import (Corpus, CorpusError, MalformedLine, Record, load_corpus, parse_line,
                      write_corpus)
-from .encoder import AllFieldsEmpty, EncoderConfig
+from .encoder import EncoderConfig, token_ids
 from .hierarchy import HierarchyError, LabelHierarchy, load_hierarchy, parse_hierarchy, repair_bits
 from .metrics import MetricsError, ks_statistic
 from .model import (
@@ -47,8 +47,8 @@ from .model import (
     LossConfig,
     ModelConfig,
     evaluate,
-    forward,
     init_model,
+    score_ids,
     train,
 )
 from .sampling import (
@@ -314,28 +314,26 @@ def cmd_infer(args, out: Path | None) -> int:
     h = model.hierarchy
     loss_cfg = LossConfig(threshold=args.threshold)
     skipped = 0
-    lines_out = []
+    records = []  # one per line to score, in input order; their labels go unread
     for lineno, raw in enumerate(Path(args.input).read_bytes().splitlines(), start=1):
         try:
             parsed = parse_line(raw, model.cfg.encoder.fields)
-            if parsed is None:
-                continue
-            obj, text = parsed
-            pred = forward(Record(obj["id"], text, np.zeros(h.m, dtype=np.uint8)), model)
-        except (MalformedLine, AllFieldsEmpty) as e:
+        except MalformedLine as e:
             skipped += 1
             print(f"warning: skipped line {args.input}:{lineno}: {e}", file=sys.stderr)
             continue
-        z = pred.z_final.data
-        bits = (z >= loss_cfg.threshold).astype(np.uint8)
-        if args.repair:
-            bits = repair_bits(h, bits)
-        lines_out.append(json.dumps({
-            "id": obj["id"],
-            "labels": [v for v in h.labels if bits[h.index[v]]],
-            "scores": {v: float(z[h.index[v]]) for v in h.labels},
-        }, sort_keys=True))
-    text = "".join(s + "\n" for s in lines_out)
+        if parsed is not None:
+            obj, fields = parsed
+            records.append(Record(obj["id"], fields, np.zeros(h.m, dtype=np.uint8)))
+    z = score_ids(*token_ids(records, model.cfg.encoder), model)
+    bits = (z >= loss_cfg.threshold).astype(np.uint8)
+    if args.repair:
+        bits = repair_bits(h, bits)
+    text = "".join(json.dumps({
+        "id": r.id,
+        "labels": [v for v in h.labels if row_bits[h.index[v]]],
+        "scores": {v: float(row_z[h.index[v]]) for v in h.labels},
+    }, sort_keys=True) + "\n" for r, row_z, row_bits in zip(records, z, bits))
     if out is not None:
         (out / "predictions.jsonl").write_text(text)
     else:

@@ -12,6 +12,7 @@ in the configured field list are ignored; missing ones load as empty.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .hierarchy import (
 )
 
 DEFAULT_FIELDS = ("name", "description", "comments")
+WORD = re.compile(r"[0-9a-z]+")  # a token of lowercased text; a field without one is empty
 
 
 class CorpusError(ValueError):
@@ -126,7 +128,8 @@ def parse_line(raw: bytes, fields: tuple[str, ...]) -> tuple[dict, dict[str, str
     """One record line's JSON object and the text of each named field (a
     missing, null or empty field reads as ""), or None for a blank line.
     ``load_corpus`` and ``hmlc infer`` read lines with it; a line that holds
-    no record raises MalformedLine."""
+    no record, or whose fields hold no ``WORD`` to encode, raises
+    MalformedLine."""
     try:
         line = raw.decode("utf-8").strip()
     except UnicodeDecodeError as e:
@@ -143,8 +146,8 @@ def parse_line(raw: bytes, fields: tuple[str, ...]) -> tuple[dict, dict[str, str
     if not isinstance(raw_fields, dict):
         raise MalformedLine("missing 'fields' object")
     text = {name: str(raw_fields.get(name, "") or "") for name in fields}
-    if not any(text.values()):
-        raise MalformedLine(f"record {obj['id']!r} has no non-empty field")
+    if not any(WORD.search(t.lower()) for t in text.values()):
+        raise MalformedLine("record has no non-empty field")
     return obj, text
 
 

@@ -14,17 +14,14 @@ the padding exactly zero attention weight.
 
 from __future__ import annotations
 
-import re
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, default_dtype, embed, reshape, scale, tensor
-from .corpus import DEFAULT_FIELDS, Record
+from .corpus import DEFAULT_FIELDS, WORD, Record
 from .nn import AttentionParams, init_attention, multihead_attention
-
-_WORD = re.compile(r"[0-9a-z]+")
 
 
 class EncoderError(ValueError):
@@ -69,7 +66,7 @@ def tokenize(text: str, cfg: EncoderConfig) -> list[int]:
     """Lowercase word split hashed into the bucket range. crc32 rather than
     ``hash()`` because the latter is salted per process."""
     n = len(cfg.fields)
-    words = _WORD.findall(text.lower())[: cfg.max_tokens]
+    words = WORD.findall(text.lower())[: cfg.max_tokens]
     return [n + (zlib.crc32(w.encode("utf-8")) % cfg.vocab_buckets) for w in words]
 
 

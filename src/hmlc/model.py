@@ -8,7 +8,8 @@ vectors into the final prediction. Training minimizes focal loss plus a
 hinge penalty on child-above-parent likelihood violations.
 
 The heads take one record's h_0 (F, d) or a batch's (B, F, d) alike:
-``forward`` scores one record, ``forward_batch`` a mini-batch in one graph.
+``forward`` scores one record, ``forward_batch`` a mini-batch in one graph,
+and ``score_ids`` any number of records, SCORE_CHUNK to a graph.
 """
 
 from __future__ import annotations
@@ -145,6 +146,19 @@ def _predict(h_0: Tensor, model: HmcnModel) -> Prediction:
                       _integrate_logits(local_logits, global_logits, model))
 
 
+SCORE_CHUNK = 256  # rows per scoring graph: larger chunks cost peak memory, not speed
+
+
+def score_ids(ids: np.ndarray, keys: np.ndarray, model: HmcnModel) -> np.ndarray:
+    """``token_ids`` rows -> their final likelihoods ẑ, (N, m), scored
+    forward-only SCORE_CHUNK rows at a time. Zero rows give a (0, m) array."""
+    z = np.empty((len(ids), model.hierarchy.m), dtype=model.encoder.table.data.dtype)
+    for start in range(0, len(ids), SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        z[rows] = _predict(encode_ids(ids[rows], keys[rows], model.encoder), model).z_final.data
+    return z
+
+
 def forward(record: Record, model: HmcnModel) -> Prediction:
     """One record's likelihoods, each of length m."""
     return _predict(encode_record(record, model.encoder), model)
@@ -271,9 +285,12 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
 
 def evaluate(corpus: Corpus, model: HmcnModel, cfg: LossConfig):
     """{"raw": (F1Report, violation count), "repaired": (...)} for the
-    thresholded predictions over a corpus. Each record is scored once; the
-    repaired rows are the raw ones after top-down ``repair_bits``."""
-    z = np.stack([predict_proba(r, model) for r in corpus.records])
+    thresholded predictions over a corpus. Each record is scored once, by
+    ``score_ids``; the repaired rows are the raw ones after top-down
+    ``repair_bits``."""
+    if not len(corpus):
+        raise CorpusError("cannot evaluate a corpus with no records")
+    z = score_ids(*token_ids(corpus.records, model.encoder.cfg), model)
     raw = (z >= cfg.threshold).astype(np.uint8)
     h = model.hierarchy
     return {name: (micro_macro_f1(corpus.label_matrix, bits), count_violations(h, bits))

@@ -17,7 +17,8 @@ from hmlc.contrastive import HmclConfig, contrastive_loss, encode_batch, init_pr
 from hmlc.corpus import Corpus, Record
 from hmlc.encoder import EncoderConfig, encode_ids, encode_records, token_ids, tokenize
 from hmlc.hierarchy import labels_to_bits
-from hmlc.model import LossConfig, ModelConfig, forward, forward_batch, init_model, total_loss
+from hmlc.model import (SCORE_CHUNK, LossConfig, ModelConfig, forward, forward_batch, init_model,
+                        predict_labels, predict_proba, score_ids, total_loss)
 from hmlc.sampling import build_batch
 
 import per_record
@@ -124,6 +125,29 @@ def _contrastive_parity(model, corpus, cfg, anchors, seed):
     assert got == pytest.approx(want, rel=0, abs=TOL)
     _assert_grads_match(got_grads, want_grads)
     return batch
+
+
+def test_score_ids_across_chunks_matches_per_record(setup):
+    # past two chunk boundaries, with ragged fields, fields past max_tokens and
+    # records that lose one field
+    model, records = setup
+    rng = np.random.default_rng(13)
+    words = [f"w{i}" for i in range(40)]
+    many = list(records)
+    while len(many) < 2 * SCORE_CHUNK + 3:
+        lengths = rng.integers(1, 2 * ENC.max_tokens, size=len(ENC.fields))
+        lengths[rng.integers(len(lengths))] *= rng.integers(2)
+        many.append(Record(id=f"r{len(many)}", labels=records[0].labels, fields={
+            f: " ".join(rng.choice(words, size=k)) for f, k in zip(ENC.fields, lengths)}))
+    ids, keys = token_ids(many, ENC)
+    assert (keys[:, :, 1:].sum(axis=2) == 0).any() and keys.all(axis=2).any()
+    z = score_ids(ids, keys, model)
+    want = np.stack([predict_proba(r, model) for r in many])
+    np.testing.assert_allclose(z, want, rtol=0, atol=TOL)
+    cfg = LossConfig()
+    assert np.array_equal((z >= cfg.threshold).astype(np.uint8),
+                          np.stack([predict_labels(r, model, cfg) for r in many]))
+    assert score_ids(ids[:0], keys[:0], model).shape == (0, model.hierarchy.m)
 
 
 def test_contrastive_loss_and_gradients_match_per_record(setup):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from hmlc import autodiff as ad
 from hmlc import contrastive
+from hmlc import model as hm
 from hmlc.checkpoint import load_checkpoint, save_checkpoint
 from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, build_parser, main
 from hmlc.config import load_run_config
@@ -640,6 +641,47 @@ def test_infer_warnings_name_file_and_line(ws, tmp_path, capsys):
     assert err[1] == f"warning: skipped line {src}:4: record has no non-empty field"
 
 
+def test_infer_keeps_order_across_chunks(ws, tmp_path, capsys, monkeypatch):
+    # chunks of 3 rows: lines are skipped inside the first two chunks and
+    # between them, and every kept line is scored as predict_proba scores it
+    monkeypatch.setattr(hm, "SCORE_CHUNK", 3)
+    good = (ws["data"] / "test.jsonl").read_text().splitlines()[:9]
+    bad = ["{not json", json.dumps({"id": "wordless", "fields": {"name": "!!"}}), ""]
+    lines = good[:2] + bad[:1] + good[2:3] + bad[1:2] + good[3:4] + bad[2:] + good[4:]
+    src = tmp_path / "mixed.jsonl"
+    src.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "inf"
+    ckpt = ws["tr1"] / "model.ckpt"
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(src),
+                 "--out", str(out), "--repair"]) == 0
+    assert capsys.readouterr().err.count("warning: skipped line") == 2
+    preds = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    model, _ = _restore_model(ckpt)
+    h = model.hierarchy
+    records = load_corpus(ws["data"] / "test.jsonl", h).records[:9]
+    assert [p["id"] for p in preds] == [r.id for r in records]
+    for p, r in zip(preds, records):
+        want = predict_proba(r, model)
+        np.testing.assert_allclose([p["scores"][v] for v in h.labels], want, rtol=0, atol=1e-6)
+
+
+def test_infer_with_no_line_to_score(ws, tmp_path, capsys, monkeypatch):
+    # encode_ids raises on zero rows, so it must not be reached
+    def no_rows(*args):
+        raise AssertionError("encode_ids called")
+
+    monkeypatch.setattr(hm, "encode_ids", no_rows)
+    src = tmp_path / "bad.jsonl"
+    src.write_text("{not json\n\n" + json.dumps({"id": "x", "fields": {"name": "?"}}) + "\n")
+    out = tmp_path / "inf"
+    argv = ["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"), "--input", str(src),
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "predictions.jsonl").read_text() == ""
+    assert main(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err.count("warning: skipped line") == 4
+
+
 def test_infer_ignores_labels(ws, tmp_path, capsys):
     # labels that load_corpus rejects (unknown, a child without its parent, not
     # a list) do not stop a line from being scored
@@ -901,6 +943,19 @@ def test_empty_corpus_exits_input(ws, tmp_path, capsys, command, split):
     assert main([command, "--config", str(ini), "--out", str(out)] + extra) == 2
     assert capsys.readouterr().err == f"error: {empty}: no records\n"
     assert not list(out.glob("*.ckpt")) and not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_record_without_a_word_exits_input_naming_its_line(ws, tmp_path, capsys, command):
+    # once "error: record has no non-empty field", naming no file or line
+    corpus = tmp_path / "wordless.jsonl"
+    lines = (ws["data"] / "train.jsonl").read_text().splitlines()[:3]
+    obj = json.loads(lines[1])
+    obj["fields"] = {f: "!!! ??" for f in obj["fields"]}
+    corpus.write_text("".join(line + "\n" for line in (lines[0], json.dumps(obj), lines[2])))
+    ini = _ini_with(ws, tmp_path / "wordless.ini", {("paths", "train"): str(corpus)})
+    assert main([command, "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == f"error: {corpus}:2: record has no non-empty field\n"
 
 
 def test_empty_hierarchy_exits_input(tmp_path, capsys):

@@ -80,6 +80,7 @@ def test_malformed_lines(tmp_path, demo):
         json.dumps({"fields": {"name": "x"}, "labels": []}),          # no id
         json.dumps({"id": "a", "labels": []}),                        # no fields
         json.dumps({"id": "a", "fields": {"name": ""}, "labels": []}),  # all empty
+        json.dumps({"id": "a", "fields": {"name": "!!! ??"}, "labels": []}),  # no word
         json.dumps({"id": "a", "fields": {"name": "x"}, "labels": "Finance"}),
     ]
     for line in cases:

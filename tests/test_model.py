@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hmlc import autodiff as ad
+from hmlc import model as hm
 from hmlc.corpus import Corpus, CorpusError
 from hmlc.encoder import EncoderConfig
 from hmlc.hierarchy import LengthMismatch, parse_hierarchy, validate_assignment
@@ -400,17 +401,26 @@ def test_train_nonfinite_raises(demo):
         train(corpus, model, TrainConfig(epochs=1, seed=0))
 
 
-def test_evaluate_reports(demo):
+def test_evaluate_reports(demo, monkeypatch):
     corpus, model = _tiny(demo)
     cfg = LossConfig()
-    result = evaluate(corpus, model, cfg)
-    assert set(result) == {"raw", "repaired"}
-    for name, repair in (("raw", False), ("repaired", True)):
-        report, violations = result[name]
-        preds = np.stack([predict_labels(r, model, cfg, repair=repair) for r in corpus.records])
-        assert report.to_dict() == micro_macro_f1(corpus.label_matrix, preds).to_dict()
-        assert violations == count_violations(demo, preds)
-    assert result["repaired"][1] == 0
+    for chunk in (hm.SCORE_CHUNK, 5):  # one chunk; then 24 records in chunks of 5
+        monkeypatch.setattr(hm, "SCORE_CHUNK", chunk)
+        result = evaluate(corpus, model, cfg)
+        assert set(result) == {"raw", "repaired"}
+        for name, repair in (("raw", False), ("repaired", True)):
+            report, violations = result[name]
+            preds = np.stack([predict_labels(r, model, cfg, repair=repair)
+                              for r in corpus.records])
+            assert report.to_dict() == micro_macro_f1(corpus.label_matrix, preds).to_dict()
+            assert violations == count_violations(demo, preds)
+        assert result["repaired"][1] == 0
+
+
+def test_evaluate_on_no_records_raises_corpus_error(demo, demo_model):
+    # once numpy's "need at least one array to stack"
+    with pytest.raises(CorpusError, match="no records"):
+        evaluate(Corpus(demo, []), demo_model, LossConfig())
 
 
 def test_epoch_stats_json_round_trip():
