@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -329,11 +330,16 @@ def cmd_infer(args, out: Path | None) -> int:
     bits = (z >= loss_cfg.threshold).astype(np.uint8)
     if args.repair:
         bits = repair_bits(h, bits)
-    text = "".join(json.dumps({
-        "id": r.id,
-        "labels": [v for v in h.labels if row_bits[h.index[v]]],
-        "scores": {v: float(row_z[h.index[v]]) for v in h.labels},
-    }, sort_keys=True) + "\n" for r, row_z, row_bits in zip(records, z, bits))
+    # each line is json.dumps({"id", "labels", "scores"}, sort_keys=True): label
+    # names quoted by json.dumps once, scores in sorted-name order, each written
+    # as its repr, which is what json.dumps writes for a finite float
+    quoted = [json.dumps(v) for v in h.labels]
+    order = sorted(range(h.m), key=h.labels.__getitem__)
+    line = ('{"id": %s, "labels": [%s], "scores": {'
+            + ", ".join(quoted[i].replace("%", "%%") + ": %r" for i in order) + "}}\n")
+    scores = z[:, order].tolist()
+    text = "".join(line % (json.dumps(r.id), ", ".join(compress(quoted, row_bits)), *row_z)
+                   for r, row_z, row_bits in zip(records, scores, bits.tolist()))
     if out is not None:
         (out / "predictions.jsonl").write_text(text)
     else:
@@ -402,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scores", help="JSON file {'pos': [...], 'neg': [...]} for a KS report")
     sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("infer", help="streaming inference over a record file")
+    sp = sub.add_parser("infer", help="read a record file whole, score every record in it "
+                        "and write all their predictions at once")
     _add_shared(sp, "--out", "--repair")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--input", required=True, help="line-delimited JSON records")

@@ -28,7 +28,13 @@ from .hierarchy import (
 )
 
 DEFAULT_FIELDS = ("name", "description", "comments")
-WORD = re.compile(r"[0-9a-z]+")  # a token of lowercased text; a field without one is empty
+WORD = re.compile(rb"[0-9a-z]+")  # a token of lowercased text; a field without one is empty
+
+
+def words(text: str) -> list[bytes]:
+    """Every ``WORD`` of ``text`` once lowercased; any other character, ASCII
+    or not, separates two words. Bytes, so a word hashes without an encode."""
+    return WORD.findall(text.lower().encode("ascii", "replace"))
 
 
 class CorpusError(ValueError):
@@ -146,7 +152,7 @@ def parse_line(raw: bytes, fields: tuple[str, ...]) -> tuple[dict, dict[str, str
     if not isinstance(raw_fields, dict):
         raise MalformedLine("missing 'fields' object")
     text = {name: str(raw_fields.get(name, "") or "") for name in fields}
-    if not any(WORD.search(t.lower()) for t in text.values()):
+    if not any(map(words, text.values())):
         raise MalformedLine("record has no non-empty field")
     return obj, text
 

@@ -15,12 +15,13 @@ the padding exactly zero attention weight.
 from __future__ import annotations
 
 import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, default_dtype, embed, reshape, scale, tensor
-from .corpus import DEFAULT_FIELDS, WORD, Record
+from .corpus import DEFAULT_FIELDS, Record, words
 from .nn import AttentionParams, init_attention, multihead_attention
 
 
@@ -51,23 +52,20 @@ class EncoderConfig:
 
     @property
     def table_rows(self) -> int:
-        # one reserved special id per field, then the hash buckets
+        # one reserved special id per field, its place in fields, then the hash buckets
         return len(self.fields) + self.vocab_buckets
 
 
-def special_id(cfg: EncoderConfig, field: str) -> int:
-    try:
-        return cfg.fields.index(field)
-    except ValueError:
-        raise EncoderError(f"unknown field {field!r}") from None
-
-
-def tokenize(text: str, cfg: EncoderConfig) -> list[int]:
-    """Lowercase word split hashed into the bucket range. crc32 rather than
-    ``hash()`` because the latter is salted per process."""
+def tokenize(text: str, cfg: EncoderConfig, buckets: dict[bytes, int] | None = None
+             ) -> list[int]:
+    """The first ``max_tokens`` words of ``text``, each hashed into the bucket
+    range. crc32 rather than ``hash()`` because the latter is salted per
+    process. ``buckets`` keeps each word's id for the next call, so a caller
+    that tokenizes many texts under one ``cfg`` hashes each word once."""
     n = len(cfg.fields)
-    words = WORD.findall(text.lower())[: cfg.max_tokens]
-    return [n + (zlib.crc32(w.encode("utf-8")) % cfg.vocab_buckets) for w in words]
+    seen = {} if buckets is None else buckets
+    return [seen[w] if w in seen else seen.setdefault(w, n + zlib.crc32(w) % cfg.vocab_buckets)
+            for w in words(text)[: cfg.max_tokens]]
 
 
 @dataclass
@@ -97,17 +95,23 @@ def init_encoder(rng: np.random.Generator, cfg: EncoderConfig) -> EncoderParams:
 def token_ids(records: list[Record], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
     """Records -> (ids, keys), both (N, F, 1+max_tokens): per field, its
     special id, then its tokens, then zero padding; ``keys`` is True on the
-    special id and the tokens."""
-    n_fields = len(cfg.fields)
-    ids = np.zeros((len(records), n_fields, 1 + cfg.max_tokens), dtype=np.intp)
-    keys = np.zeros(ids.shape, dtype=bool)
-    ids[:, :, 0] = [special_id(cfg, f) for f in cfg.fields]
-    keys[:, :, 0] = True
-    for i, r in enumerate(records):
+    special id and the tokens.
+
+    Each distinct word is hashed once per call. The rows are written into one
+    flat int64 array, so no Python int list outlives a field."""
+    buckets: dict[bytes, int] = {}
+    padding = array("q", bytes(8 * cfg.max_tokens))
+    flat = array("q")
+    for r in records:
         for j, f in enumerate(cfg.fields):
-            t = tokenize(r.fields.get(f, ""), cfg)
-            ids[i, j, 1:1 + len(t)] = t
-            keys[i, j, 1:1 + len(t)] = True
+            t = tokenize(r.fields.get(f, ""), cfg, buckets)
+            flat.append(j)
+            flat.fromlist(t)
+            flat.extend(padding[len(t):])
+    ids = np.frombuffer(flat, dtype=np.int64).reshape(len(records), len(cfg.fields),
+                                                      1 + cfg.max_tokens)
+    keys = ids != 0  # only padding and the first field's special id are 0
+    keys[:, :, 0] = True
     return ids, keys
 
 

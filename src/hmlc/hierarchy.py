@@ -75,6 +75,15 @@ class LabelHierarchy:
         parent.setflags(write=False)
         return parent
 
+    @cached_property
+    def level_columns(self) -> tuple[np.ndarray, ...]:
+        """Read-only index arrays of the labels at each level, level 1 first."""
+        cols = tuple(np.array([self.index[v] for v in self.level_index[lvl]], dtype=np.intp)
+                     for lvl in range(1, self.depth + 1))
+        for c in cols:
+            c.setflags(write=False)
+        return cols
+
     def __contains__(self, label: str) -> bool:
         return label in self.index
 
@@ -221,8 +230,7 @@ def repair_bits(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
     if bits.shape[-1:] != (h.m,):
         raise LengthMismatch(f"expected {h.m} bits per row, got shape {bits.shape}")
     out = (bits != 0).astype(np.uint8)
-    for lvl in range(2, h.depth + 1):
-        cols = np.array([h.index[v] for v in h.level_index[lvl]])
+    for cols in h.level_columns[1:]:
         out[..., cols] &= out[..., h.parent_index[cols]]
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from hmlc import autodiff as ad
 from hmlc.contrastive import EmptyBatch
-from hmlc.encoder import AllFieldsEmpty, EncoderParams, special_id, tokenize
+from hmlc.encoder import AllFieldsEmpty, EncoderParams, tokenize
 from hmlc.metrics import NonUnitInput
 from hmlc.model import (
     HmcnModel,
@@ -54,7 +54,7 @@ def encode_field(tokens: list[int], field: str, params: EncoderParams) -> FieldE
     if not tokens:
         zero = ad.tensor(np.zeros(cfg.d), params.table.data.dtype)
         return FieldEmbedding(h_field=zero, present=False)
-    ids = [special_id(cfg, field)] + list(tokens)
+    ids = [cfg.fields.index(field)] + list(tokens)  # the field's special id, then its tokens
     seq = ad.embed(params.table, ids)
     attended = multihead_attention(seq, seq, seq, params.field_attn)
     return FieldEmbedding(h_field=ad.embed(attended, 0), present=True)

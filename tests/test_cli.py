@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hmlc import autodiff as ad
@@ -23,10 +23,11 @@ from hmlc import contrastive
 from hmlc import model as hm
 from hmlc.checkpoint import load_checkpoint, save_checkpoint
 from hmlc.cli import EXIT_NUMERIC, _build_model, _restore_model, build_parser, main
-from hmlc.config import load_run_config
-from hmlc.hierarchy import load_hierarchy
-from hmlc.corpus import load_corpus
-from hmlc.model import predict_proba, total_loss, train
+from hmlc.config import load_run_config, model_scope, scope_hash
+from hmlc.encoder import EncoderConfig, token_ids
+from hmlc.hierarchy import ROOT, load_hierarchy, parse_hierarchy, repair_bits
+from hmlc.corpus import MalformedLine, Record, load_corpus, parse_line
+from hmlc.model import ModelConfig, init_model, predict_proba, total_loss, train
 
 BASE_INI = """\
 [paths]
@@ -696,6 +697,102 @@ def test_infer_ignores_labels(ws, tmp_path, capsys):
     preds = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
     assert [p["id"] for p in preds] == ["r0", "r1", "r2", "r3"]
     assert len({json.dumps(p["scores"], sort_keys=True) for p in preds}) == 1
+
+
+def _json_dumps_lines(h, records, z, bits) -> str:
+    """hmlc infer's writer before it filled one precompiled line format: a
+    json.dumps per line, keys sorted."""
+    return "".join(json.dumps({
+        "id": r.id,
+        "labels": [v for v in h.labels if row_bits[h.index[v]]],
+        "scores": {v: float(row_z[h.index[v]]) for v in h.labels},
+    }, sort_keys=True) + "\n" for r, row_z, row_bits in zip(records, z, bits))
+
+
+def _reference_predictions(ckpt, src, repair: bool, threshold: float = 0.5) -> str:
+    """What hmlc infer writes for ``src``, through the json.dumps writer."""
+    model, _ = _restore_model(ckpt)
+    h = model.hierarchy
+    records = []
+    for raw in Path(src).read_bytes().splitlines():
+        try:
+            parsed = parse_line(raw, model.cfg.encoder.fields)
+        except MalformedLine:
+            continue
+        if parsed is not None:
+            records.append(Record(parsed[0]["id"], parsed[1], np.zeros(h.m, dtype=np.uint8)))
+    z = hm.score_ids(*token_ids(records, model.cfg.encoder), model)
+    bits = (z >= threshold).astype(np.uint8)
+    return _json_dumps_lines(h, records, z, repair_bits(h, bits) if repair else bits)
+
+
+@pytest.fixture(scope="module")
+def f64_ckpt(ws):
+    out = ws["root"] / "tr64"
+    assert main(["train", "--config", str(ws["ini_f64"]), "--out", str(out)]) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("repair", [False, True])
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_infer_lines_match_the_json_dumps_writer(ws, f64_ckpt, tmp_path, capsys, precision,
+                                                 repair, to):
+    ckpt = {"f32": ws["tr1"] / "model.ckpt", "f64": f64_ckpt}[precision]
+    src = ws["data"] / "test.jsonl"
+    argv = ["infer", "--checkpoint", str(ckpt), "--input", str(src)] + ["--repair"] * repair
+    capsys.readouterr()
+    if to == "out":
+        assert main(argv + ["--out", str(tmp_path / "inf")]) == 0
+        got = (tmp_path / "inf" / "predictions.jsonl").read_bytes()
+    else:
+        assert main(argv) == 0
+        got = capsys.readouterr().out.encode()
+    want = _reference_predictions(ckpt, src, repair).encode()
+    assert got == want
+    assert len(want.splitlines()) == 16
+
+
+# label names that JSON escapes or that a %-format would read as a directive,
+# declared so that their sorted order differs from the hierarchy's
+_ESCAPED_EDGES = [(ROOT, "zeta\"quote"), (ROOT, "back\\slash"), ("zeta\"quote", "ctl\x01\x1f"),
+                  ("zeta\"quote", "ünï"), ("back\\slash", "line\u2028sep"),
+                  ("ctl\x01\x1f", "100%"), ("line\u2028sep", "%r %s %%"), (ROOT, "tab\there")]
+
+
+@pytest.fixture(scope="module")
+def escaped_ckpt(tmp_path_factory):
+    h = parse_hierarchy(_ESCAPED_EDGES)
+    cfg = ModelConfig(encoder=EncoderConfig(vocab_buckets=64, d=8, heads=2, max_tokens=8),
+                      head_hidden=8, cross_heads=2)
+    model = init_model(np.random.default_rng(3), h, cfg)
+    scope = model_scope(h.canonical_edges(), cfg, "f32")
+    path = tmp_path_factory.mktemp("escaped") / "model.ckpt"
+    save_checkpoint(path, {k: v.data for k, v in model.named().items()}, scope_hash(scope),
+                    meta={"kind": "model", "scope": scope})
+    return path
+
+
+_ID = st.text(max_size=6) | st.sampled_from(["\ud800", 'q"u\\o\x00\u2028', "ünï", "%s"])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(st.tuples(_ID, st.sampled_from(["alpha beta", "Gamma", "delta eps zeta"])),
+                      max_size=5),
+       repair=st.booleans())
+@example(lines=[], repair=True)  # no line to score
+def test_infer_escapes_ids_and_label_names_as_json_dumps(escaped_ckpt, tmp_path_factory, lines,
+                                                         repair):
+    src = tmp_path_factory.mktemp("escaped_infer") / "in.jsonl"
+    src.write_text("{not json\n\n" + "".join(
+        json.dumps({"id": rid, "fields": {"name": text}}) + "\n" for rid, text in lines))
+    out = src.parent / "out"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["infer", "--checkpoint", str(escaped_ckpt), "--input", str(src),
+                     "--out", str(out)] + ["--repair"] * repair) == 0
+    got = (out / "predictions.jsonl").read_bytes()
+    assert got == _reference_predictions(escaped_ckpt, src, repair).encode()
+    assert len(got.splitlines()) == len(lines)
 
 
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

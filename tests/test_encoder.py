@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import re
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmlc import autodiff as ad
 from hmlc.encoder import (
@@ -13,7 +18,7 @@ from hmlc.encoder import (
     encode_record,
     encode_records,
     init_encoder,
-    special_id,
+    token_ids,
     tokenize,
 )
 from hmlc.corpus import Record
@@ -70,11 +75,75 @@ def test_hash_spreads_like_uniform():
     assert abs(len(ids) - expected_occupied) < 0.05 * expected_occupied
 
 
+def _tokenize_per_word(text, cfg):
+    """tokenize as it was before words were read as bytes and kept per call:
+    a str regex, and every word encoded and hashed where it occurs."""
+    n = len(cfg.fields)
+    words = re.findall(r"[0-9a-z]+", text.lower())[: cfg.max_tokens]
+    return [n + (zlib.crc32(w.encode("utf-8")) % cfg.vocab_buckets) for w in words]
+
+
+def _token_ids_per_field(records, cfg):
+    """token_ids as it was before it wrote one flat array: two slice
+    assignments per field, every word hashed where it occurs."""
+    n_fields = len(cfg.fields)
+    ids = np.zeros((len(records), n_fields, 1 + cfg.max_tokens), dtype=np.intp)
+    keys = np.zeros(ids.shape, dtype=bool)
+    ids[:, :, 0] = [cfg.fields.index(f) for f in cfg.fields]  # each field's special id
+    keys[:, :, 0] = True
+    for i, r in enumerate(records):
+        for j, f in enumerate(cfg.fields):
+            t = _tokenize_per_word(r.fields.get(f, ""), cfg)
+            ids[i, j, 1:1 + len(t)] = t
+            keys[i, j, 1:1 + len(t)] = True
+    return ids, keys
+
+
+# a few words, so that they repeat across fields and records, in mixed case and
+# with characters WORD drops: non-ASCII letters (some that lowercase to ASCII,
+# such as the Kelvin sign and the dotted capital I), a lone surrogate, U+2028
+_WORDS = st.sampled_from(["alpha", "Beta", "GAMMA", "a1", "42", "zz", "café", "naïve", "straße",
+                          "\u212a", "\u0130x", "\ud800", "x\u2028y", "日本", "ε"])
+_TEXT = st.lists(_WORDS, max_size=24).flatmap(
+    lambda ws: st.lists(st.sampled_from([" ", ", ", "-", "!", "\t", "é", "?"]),
+                        min_size=len(ws), max_size=len(ws)).map(
+        lambda seps: "".join(w + sep for w, sep in zip(ws, seps))))
+_FIELDS = ("name", "description", "comments", "other")
+_RECORDS = st.lists(st.dictionaries(st.sampled_from(_FIELDS), _TEXT, max_size=4).map(
+    lambda fields: Record(id="r", fields=fields, labels=np.zeros(1, dtype=np.uint8))),
+    max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=_TEXT)
+@example(text=" ".join(f"W{i}" for i in range(40)))
+def test_tokenize_matches_the_per_word_hash(text):
+    for cfg in (CFG, EncoderConfig(vocab_buckets=5, max_tokens=3, fields=("a",))):
+        want = _tokenize_per_word(text, cfg)
+        assert tokenize(text, cfg) == want
+        buckets = {}
+        assert tokenize(text, cfg, buckets) == want == tokenize(text, cfg, buckets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(first=_RECORDS, second=_RECORDS)
+def test_token_ids_match_the_per_field_reference(first, second):
+    # more words than max_tokens, words repeated across fields and records,
+    # empty and missing fields; two calls in a row under other buckets and
+    # fields each match, so nothing one call hashed reaches the next
+    other = EncoderConfig(vocab_buckets=7, max_tokens=3, fields=("comments", "other", "name"))
+    for records, cfg in ((first, CFG), (second, other), (first, other), (second, CFG)):
+        ids, keys = token_ids(records, cfg)
+        want_ids, want_keys = _token_ids_per_field(records, cfg)
+        assert ids.dtype == want_ids.dtype and keys.dtype == want_keys.dtype
+        assert np.array_equal(ids, want_ids) and np.array_equal(keys, want_keys)
+
+
 def test_special_ids():
-    assert special_id(CFG, "name") == 0
-    assert special_id(CFG, "comments") == 2
-    with pytest.raises(EncoderError):
-        special_id(CFG, "title")
+    # every field's row starts with the id reserved for it, its place in fields
+    ids, keys = token_ids([_record(), _record(name="", comments="delta")], CFG)
+    assert ids[:, :, 0].tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert keys[:, :, 0].all()
 
 
 def test_config_validation():

@@ -288,3 +288,30 @@ def test_repair_bits_matches_label_loop():
             assert validate_assignment(tree, got) == []
     with pytest.raises(LengthMismatch):
         repair_bits(tree, np.zeros(tree.m + 1, dtype=np.uint8))
+
+
+def _repair_per_level(h, bits):
+    """repair_bits as it was before it read ``level_columns``: each call built
+    every level's column array from the label names."""
+    bits = np.asarray(bits)
+    out = (bits != 0).astype(np.uint8)
+    for lvl in range(2, h.depth + 1):
+        cols = np.array([h.index[v] for v in h.level_index[lvl]])
+        out[..., cols] &= out[..., h.parent_index[cols]]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(edges=tree_edges(), data=st.data())
+def test_repair_bits_matches_per_level_columns(edges, data):
+    h = parse_hierarchy(edges)
+    rows = data.draw(st.integers(0, 6))
+    bits = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=h.m, max_size=h.m),
+                                       min_size=rows, max_size=rows)),
+                    dtype=np.uint8).reshape(rows, h.m)
+    for x in (bits, *bits[:1]):  # rows of m, and one row alone
+        got = repair_bits(h, x)
+        assert got.dtype == np.uint8 and np.array_equal(got, _repair_per_level(h, x))
+    assert [c.tolist() for c in h.level_columns] == [
+        [h.index[v] for v in h.level_index[lvl]] for lvl in range(1, h.depth + 1)]
+    assert not any(c.flags.writeable for c in h.level_columns)
