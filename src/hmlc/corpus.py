@@ -31,10 +31,16 @@ DEFAULT_FIELDS = ("name", "description", "comments")
 WORD = re.compile(rb"[0-9a-z]+")  # a token of lowercased text; a field without one is empty
 
 
+def _ascii(text: str) -> bytes:
+    """``text`` lowercased, each non-ASCII character replaced by ``?``, which
+    ``WORD`` does not match."""
+    return text.lower().encode("ascii", "replace")
+
+
 def words(text: str) -> list[bytes]:
     """Every ``WORD`` of ``text`` once lowercased; any other character, ASCII
     or not, separates two words. Bytes, so a word hashes without an encode."""
-    return WORD.findall(text.lower().encode("ascii", "replace"))
+    return WORD.findall(_ascii(text))
 
 
 class CorpusError(ValueError):
@@ -152,7 +158,7 @@ def parse_line(raw: bytes, fields: tuple[str, ...]) -> tuple[dict, dict[str, str
     if not isinstance(raw_fields, dict):
         raise MalformedLine("missing 'fields' object")
     text = {name: str(raw_fields.get(name, "") or "") for name in fields}
-    if not any(map(words, text.values())):
+    if not any(map(WORD.search, map(_ascii, text.values()))):
         raise MalformedLine("record has no non-empty field")
     return obj, text
 

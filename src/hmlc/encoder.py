@@ -56,16 +56,12 @@ class EncoderConfig:
         return len(self.fields) + self.vocab_buckets
 
 
-def tokenize(text: str, cfg: EncoderConfig, buckets: dict[bytes, int] | None = None
-             ) -> list[int]:
+def tokenize(text: str, cfg: EncoderConfig) -> list[int]:
     """The first ``max_tokens`` words of ``text``, each hashed into the bucket
     range. crc32 rather than ``hash()`` because the latter is salted per
-    process. ``buckets`` keeps each word's id for the next call, so a caller
-    that tokenizes many texts under one ``cfg`` hashes each word once."""
+    process."""
     n = len(cfg.fields)
-    seen = {} if buckets is None else buckets
-    return [seen[w] if w in seen else seen.setdefault(w, n + zlib.crc32(w) % cfg.vocab_buckets)
-            for w in words(text)[: cfg.max_tokens]]
+    return [n + zlib.crc32(w) % cfg.vocab_buckets for w in words(text)[: cfg.max_tokens]]
 
 
 @dataclass
@@ -97,14 +93,13 @@ def token_ids(records: list[Record], cfg: EncoderConfig) -> tuple[np.ndarray, np
     special id, then its tokens, then zero padding; ``keys`` is True on the
     special id and the tokens.
 
-    Each distinct word is hashed once per call. The rows are written into one
-    flat int64 array, so no Python int list outlives a field."""
-    buckets: dict[bytes, int] = {}
+    The rows are written into one flat int64 array, so no Python int list
+    outlives a field."""
     padding = array("q", bytes(8 * cfg.max_tokens))
     flat = array("q")
     for r in records:
         for j, f in enumerate(cfg.fields):
-            t = tokenize(r.fields.get(f, ""), cfg, buckets)
+            t = tokenize(r.fields.get(f, ""), cfg)
             flat.append(j)
             flat.fromlist(t)
             flat.extend(padding[len(t):])

@@ -76,10 +76,11 @@ class LabelHierarchy:
         return parent
 
     @cached_property
-    def level_columns(self) -> tuple[np.ndarray, ...]:
-        """Read-only index arrays of the labels at each level, level 1 first."""
+    def child_level_columns(self) -> tuple[np.ndarray, ...]:
+        """Read-only index arrays of the labels at each level below the top,
+        level 2 first."""
         cols = tuple(np.array([self.index[v] for v in self.level_index[lvl]], dtype=np.intp)
-                     for lvl in range(1, self.depth + 1))
+                     for lvl in range(2, self.depth + 1))
         for c in cols:
             c.setflags(write=False)
         return cols
@@ -230,7 +231,7 @@ def repair_bits(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
     if bits.shape[-1:] != (h.m,):
         raise LengthMismatch(f"expected {h.m} bits per row, got shape {bits.shape}")
     out = (bits != 0).astype(np.uint8)
-    for cols in h.level_columns[1:]:
+    for cols in h.child_level_columns:
         out[..., cols] &= out[..., h.parent_index[cols]]
     return out
 

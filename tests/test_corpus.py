@@ -20,6 +20,8 @@ from hmlc.corpus import (
     PathViolation,
     active_labels_at_level,
     load_corpus,
+    parse_line,
+    words,
     write_corpus,
 )
 from hmlc.hierarchy import HierarchyError, LabelHierarchy, LevelOutOfRange, UnknownLabel, validate_assignment
@@ -88,6 +90,20 @@ def test_malformed_lines(tmp_path, demo):
         path.write_text(line + "\n")
         with pytest.raises(MalformedLine):
             load_corpus(path, demo)
+
+
+def test_a_record_is_kept_exactly_when_a_field_has_a_word():
+    # the emptiness check reads the tokenizer's word rule: text is lowercased
+    # first, so upper case and the Kelvin sign (which lowercases to k) are words
+    for name, kept in (("ABC", True), ("\u212a", True), ("x", True), ("é ü", False),
+                       ("!!! ??", False)):
+        raw = json.dumps({"id": "a", "fields": {"name": name}}).encode()
+        assert bool(words(name)) == kept
+        if kept:
+            assert parse_line(raw, ("name", "comments"))[1] == {"name": name, "comments": ""}
+        else:
+            with pytest.raises(MalformedLine, match="no non-empty field"):
+                parse_line(raw, ("name", "comments"))
 
 
 def test_malformed_line_reports_line_number(tmp_path, demo):

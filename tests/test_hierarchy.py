@@ -291,8 +291,8 @@ def test_repair_bits_matches_label_loop():
 
 
 def _repair_per_level(h, bits):
-    """repair_bits as it was before it read ``level_columns``: each call built
-    every level's column array from the label names."""
+    """repair_bits as it was before it read ``child_level_columns``: each
+    call built every level's column array from the label names."""
     bits = np.asarray(bits)
     out = (bits != 0).astype(np.uint8)
     for lvl in range(2, h.depth + 1):
@@ -312,6 +312,6 @@ def test_repair_bits_matches_per_level_columns(edges, data):
     for x in (bits, *bits[:1]):  # rows of m, and one row alone
         got = repair_bits(h, x)
         assert got.dtype == np.uint8 and np.array_equal(got, _repair_per_level(h, x))
-    assert [c.tolist() for c in h.level_columns] == [
-        [h.index[v] for v in h.level_index[lvl]] for lvl in range(1, h.depth + 1)]
-    assert not any(c.flags.writeable for c in h.level_columns)
+    assert [c.tolist() for c in h.child_level_columns] == [
+        [h.index[v] for v in h.level_index[lvl]] for lvl in range(2, h.depth + 1)]
+    assert not any(c.flags.writeable for c in h.child_level_columns)
