@@ -114,6 +114,11 @@ def _report(out: Path | None, name: str, payload) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    if not ok:  # an input error that names the flag, not a traceback
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def _write_config(out: Path, cfg: RunConfig) -> None:
     _write_json(out / "config.json", {"config": effective_dict(cfg), "hash": config_hash(cfg)})
 
@@ -124,7 +129,7 @@ def _load_inputs(cfg: RunConfig, split: str = "train",
     path = {"train": cfg.train_path, "val": cfg.val_path, "test": cfg.test_path}[split]
     if path is None:
         raise ConfigError(f"config does not name a {split} corpus")
-    corpus = load_corpus(path, h, fields=cfg.encoder.fields, repair=repair)
+    corpus = load_corpus(path, h, fields=cfg.model.encoder.fields, repair=repair)
     if not corpus.records:
         raise CorpusError(f"{path}: no records")
     return h, corpus
@@ -166,7 +171,7 @@ def _load_under(path, kind: str, cfg: RunConfig, model: HmcnModel) -> None:
     precision all match."""
     edges = model.hierarchy.canonical_edges()
     if kind == "encoder":
-        scope = encoder_scope(edges, cfg.encoder, cfg.precision)
+        scope = encoder_scope(edges, cfg.model.encoder, cfg.precision)
         params = model.encoder.named("encoder")
     else:
         scope, params = model_scope(edges, cfg.model, cfg.precision), model.named()
@@ -202,6 +207,9 @@ def _restore_model(ckpt_path) -> tuple[HmcnModel, dict]:
 
 
 def cmd_gen_synthetic(args, out: Path) -> int:
+    sizes = {"train": args.n_train, "val": args.n_val, "test": args.n_test}
+    for name, n in sizes.items():
+        _require(n >= 0, f"--n-{name}", ">= 0", n)
     if args.hierarchy:
         h = load_hierarchy(args.hierarchy)
         edges = h.canonical_edges()
@@ -213,9 +221,7 @@ def cmd_gen_synthetic(args, out: Path) -> int:
     split_seeds = [int(s.generate_state(1)[0]) for s in
                    np.random.SeedSequence(component_seeds(args.seed)["synthetic"]).spawn(3)]
     manifest = {"seed": args.seed, "hierarchy": hier_path.name, "splits": {}}
-    for name, n, seed in (("train", args.n_train, split_seeds[0]),
-                          ("val", args.n_val, split_seeds[1]),
-                          ("test", args.n_test, split_seeds[2])):
+    for (name, n), seed in zip(sizes.items(), split_seeds):
         if n <= 0:
             continue
         corpus = make_synthetic_corpus(h, n, seed)
@@ -245,7 +251,7 @@ def cmd_pretrain(args, out: Path | None) -> int:
     }
     if out is not None:
         _write_config(out, cfg)
-        scope = encoder_scope(h.canonical_edges(), cfg.encoder, cfg.precision)
+        scope = encoder_scope(h.canonical_edges(), cfg.model.encoder, cfg.precision)
         arrays = {k: v.data for k, v in model.encoder.named("encoder").items()}
         save_checkpoint(out / "encoder.ckpt", arrays, scope_hash(scope),
                         meta={"kind": "encoder", "scope": scope})
@@ -311,9 +317,9 @@ def cmd_eval(args, out: Path | None) -> int:
 
 
 def cmd_infer(args, out: Path | None) -> int:
+    _require(0.0 < args.threshold < 1.0, "--threshold", "in (0, 1)", args.threshold)
     model, _header = _restore_model(args.checkpoint)
     h = model.hierarchy
-    loss_cfg = LossConfig(threshold=args.threshold)
     skipped = 0
     records = []  # one per line to score, in input order; their labels go unread
     for lineno, raw in enumerate(Path(args.input).read_bytes().splitlines(), start=1):
@@ -327,7 +333,7 @@ def cmd_infer(args, out: Path | None) -> int:
             obj, fields = parsed
             records.append(Record(obj["id"], fields, np.zeros(h.m, dtype=np.uint8)))
     z = score_ids(*token_ids(records, model.cfg.encoder), model)
-    bits = (z >= loss_cfg.threshold).astype(np.uint8)
+    bits = (z >= args.threshold).astype(np.uint8)
     if args.repair:
         bits = repair_bits(h, bits)
     # each line is json.dumps({"id", "labels", "scores"}, sort_keys=True): label
@@ -351,6 +357,7 @@ def cmd_infer(args, out: Path | None) -> int:
 
 
 def cmd_sample_audit(args, out: Path | None) -> int:
+    _require(args.draws >= 1, "--draws", ">= 1", args.draws)
     h = load_hierarchy(args.hierarchy)
     counts = {"label": audit_label_draws(h, args.strategy, args.draws, args.seed)}
     if args.corpus:
@@ -375,8 +382,8 @@ _SHARED_FLAGS = {
     "--config": dict(help="INI run configuration"),
     "--seed": dict(type=int, help="seed of the generated corpus or of the draws"),
     "--out": dict(help="output directory for artifacts"),
-    "--repair": dict(action="store_true",
-                     help="activate ancestor repair on corpus load / prediction output"),
+    "--repair": dict(action="store_true", help="add missing ancestors to a loaded corpus's "
+                     "labels; in infer, clear predicted labels under an inactive parent"),
 }
 
 

@@ -40,7 +40,6 @@ class RunConfig:
     train_path: str | None
     val_path: str | None
     test_path: str | None
-    encoder: EncoderConfig
     model: ModelConfig
     loss: LossConfig
     train: TrainConfig
@@ -137,11 +136,9 @@ def load_run_config(path) -> RunConfig:
     if "seed" in run:
         seeds = component_seeds(run["seed"])
         ini["train"]["seed"], ini["hmcl"]["seed"] = seeds["train"], seeds["pretrain"]
-    encoder = EncoderConfig(**ini["encoder"])
     return RunConfig(
         **{f"{key}_path": paths.get(key) for key in SECTIONS["paths"]},
-        encoder=encoder,
-        model=ModelConfig(encoder=encoder, **ini["model"]),
+        model=ModelConfig(encoder=EncoderConfig(**ini["encoder"]), **ini["model"]),
         loss=LossConfig(**ini["loss"]),
         train=TrainConfig(**ini["train"]),
         hmcl=HmclConfig(**ini["hmcl"]),
@@ -151,7 +148,7 @@ def load_run_config(path) -> RunConfig:
 
 def effective_dict(cfg: RunConfig) -> dict:
     d = dataclasses.asdict(cfg)
-    d["model"].pop("encoder")  # nested duplicate of the top-level encoder block
+    d["encoder"] = d["model"].pop("encoder")  # its own block, as in the INI
     return d
 
 

@@ -88,14 +88,11 @@ def encode_batch(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams
     """Each record the batch touches is encoded and projected exactly once,
     all of them in one graph; reuse keeps the tape small and still
     accumulates every gradient path. ``tokens`` is the corpus's
-    ``token_ids``, when the caller has it. Returns the (R, p) unit rows in
-    ``batch.record_indices()`` order."""
+    ``token_ids``, computed here when the caller has none. Returns the (R, p)
+    unit rows in ``batch.record_indices()`` order."""
     rows = batch.record_indices()
-    if tokens is None:
-        ids, keys = token_ids([corpus.records[i] for i in rows], encoder.cfg)
-    else:
-        ids, keys = tokens[0][rows], tokens[1][rows]
-    return project(encode_ids(ids, keys, encoder), head)
+    ids, keys = tokens or token_ids(corpus.records, encoder.cfg)
+    return project(encode_ids(ids[rows], keys[rows], encoder), head)
 
 
 def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderParams,

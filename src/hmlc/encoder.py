@@ -137,12 +137,7 @@ def encode_ids(ids: np.ndarray, keys: np.ndarray, params: EncoderParams) -> Tens
     return multihead_attention(hstar, hstar, hstar, params.fuse_attn, key_mask=present)
 
 
-def encode_records(records: list[Record], params: EncoderParams) -> Tensor:
-    """Records -> h_0 of shape (B, F, d): ``encode_ids`` on their ``token_ids``."""
-    return encode_ids(*token_ids(records, params.cfg), params)
-
-
 def encode_record(record: Record, params: EncoderParams) -> Tensor:
-    """Record -> h_0 of shape (F, d): ``encode_records`` on a batch of one."""
-    h_0 = encode_records([record], params)
+    """Record -> h_0 of shape (F, d): ``encode_ids`` on a batch of one."""
+    h_0 = encode_ids(*token_ids([record], params.cfg), params)
     return reshape(h_0, h_0.shape[1:])

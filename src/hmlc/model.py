@@ -7,9 +7,10 @@ reads h_0 directly, and an integration MLP combines the two likelihood
 vectors into the final prediction. Training minimizes focal loss plus a
 hinge penalty on child-above-parent likelihood violations.
 
-The heads take one record's h_0 (F, d) or a batch's (B, F, d) alike:
-``forward`` scores one record, ``forward_batch`` a mini-batch in one graph,
-and ``score_ids`` any number of records, SCORE_CHUNK to a graph.
+The heads take one record's h_0 (F, d) or a batch's (B, F, d) alike, and
+every h_0 is ``encode_ids`` on ``token_ids`` rows: ``train`` builds one
+graph per mini-batch, ``score_ids`` scores any number of records,
+SCORE_CHUNK to a graph, and ``forward`` scores one record as a batch of one.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus, CorpusError, Record
-from .encoder import (EncoderConfig, EncoderParams, encode_ids, encode_record, encode_records,
-                      init_encoder, token_ids)
+from .encoder import EncoderConfig, EncoderParams, encode_ids, encode_record, init_encoder, token_ids
 from .hierarchy import LabelHierarchy, LengthMismatch, repair_bits, validate_assignment
 from .metrics import micro_macro_f1
 from .nn import AttentionParams, MlpParams, init_attention, init_mlp, mlp_forward, multihead_attention
@@ -164,11 +164,6 @@ def forward(record: Record, model: HmcnModel) -> Prediction:
     return _predict(encode_record(record, model.encoder), model)
 
 
-def forward_batch(records: list[Record], model: HmcnModel) -> Prediction:
-    """A mini-batch's likelihoods, each (B, m), from one graph."""
-    return _predict(encode_records(records, model.encoder), model)
-
-
 def path_regularization(z: Tensor, h: LabelHierarchy) -> Tensor:
     """R = Σ_edges max(0, ẑ_child − ẑ_parent), summed over the rows of a
     (B, m) batch; zero iff no child outranks its parent."""
@@ -190,10 +185,11 @@ def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
 def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
                pred: Prediction | None = None) -> Tensor:
     """Σ over the batch of focal loss + λ·path regularization on ẑ. ``pred``
-    is the batch's ``forward_batch`` output when the caller already has it."""
+    is the batch's ``_predict`` output when the caller already has it."""
     if not batch:
         raise ValueError("empty batch")
-    z = (pred if pred is not None else forward_batch(batch, model)).z_final
+    pred = pred or _predict(encode_ids(*token_ids(batch, model.encoder.cfg), model.encoder), model)
+    z = pred.z_final
     labels = np.stack([r.labels for r in batch])
     total = focal_loss(ad.reshape(z, (-1,)), labels.ravel(), cfg)
     if cfg.lambda_reg > 0.0:

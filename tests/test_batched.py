@@ -1,10 +1,10 @@
 """Batched forward against the per-record reference, in f64.
 
-``forward_batch``, ``total_loss``, the batched ``encode_batch`` and the
-score-matrix ``contrastive_loss`` must compute what the per-record path and
-the per-pair loop in ``per_record.py`` compute, up to the order of
-floating-point sums: outputs, losses and every parameter gradient agree to
-1e-10.
+A mini-batch's ``_predict`` on ``encode_ids`` of its ``token_ids`` rows,
+``total_loss``, the batched ``encode_batch`` and the score-matrix
+``contrastive_loss`` must compute what the per-record path and the per-pair
+loop in ``per_record.py`` compute, up to the order of floating-point sums:
+outputs, losses and every parameter gradient agree to 1e-10.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import pytest
 from hmlc import autodiff as ad
 from hmlc.contrastive import HmclConfig, contrastive_loss, encode_batch, init_projection
 from hmlc.corpus import Corpus, Record
-from hmlc.encoder import EncoderConfig, encode_ids, encode_records, token_ids, tokenize
+from hmlc.encoder import EncoderConfig, encode_ids, token_ids, tokenize
 from hmlc.hierarchy import labels_to_bits
-from hmlc.model import (SCORE_CHUNK, LossConfig, ModelConfig, forward, forward_batch, init_model,
+from hmlc.model import (SCORE_CHUNK, LossConfig, ModelConfig, _predict, forward, init_model,
                         predict_labels, predict_proba, score_ids, total_loss)
 from hmlc.sampling import build_batch
 
@@ -73,9 +73,9 @@ def _assert_grads_match(got, want):
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=TOL, err_msg=name)
 
 
-def test_forward_batch_matches_per_record(setup):
+def test_batch_graph_matches_per_record(setup):
     model, records = setup
-    batch = forward_batch(records, model)
+    batch = _predict(encode_ids(*token_ids(records, ENC), model.encoder), model)
     for i, record in enumerate(records):
         want = per_record.forward(record, model)
         single = forward(record, model)
@@ -96,15 +96,16 @@ def test_total_loss_and_gradients_match_per_record(setup, lambda_reg):
     _assert_grads_match(got_grads, want_grads)
 
 
-def test_encode_ids_on_token_rows_matches_encode_records(setup):
+def test_encode_ids_on_corpus_rows_matches_own_token_ids(setup):
     # rows picked out of one corpus-wide table, out of order and repeated,
-    # with ragged, empty and truncated fields in the same batch
+    # with ragged, empty and truncated fields in the same batch, against the
+    # token_ids of those records alone
     model, records = setup
     ids, keys = token_ids(records, ENC)
     assert ids.shape == keys.shape == (len(records), len(ENC.fields), 1 + ENC.max_tokens)
     for rows in ([4, 0, 2], [2], [5, 1, 1, 3, 0, 4, 2]):
         got = encode_ids(ids[rows], keys[rows], model.encoder)
-        want = encode_records([records[i] for i in rows], model.encoder)
+        want = encode_ids(*token_ids([records[i] for i in rows], ENC), model.encoder)
         assert got.shape == want.shape and np.array_equal(got.data, want.data)
 
 
@@ -124,7 +125,39 @@ def _contrastive_parity(model, corpus, cfg, anchors, seed):
         params, lambda: per_record.contrastive_loss(batch, corpus, model.encoder, head, cfg))
     assert got == pytest.approx(want, rel=0, abs=TOL)
     _assert_grads_match(got_grads, want_grads)
+    _tokens_parity(model, corpus, head, batch, cfg)
     return batch
+
+
+def _tokens_parity(model, corpus, head, batch, cfg):
+    """``encode_batch`` and ``contrastive_loss`` give the same bits, rows,
+    loss and every gradient, with the corpus's ``token_ids`` passed in as
+    without them."""
+    params = {**model.encoder.named("encoder"), **head.named()}
+    tokens = token_ids(corpus.records, model.encoder.cfg)
+    rows = [encode_batch(batch, corpus, model.encoder, head, t).data for t in (None, tokens)]
+    assert rows[0].dtype == model.encoder.table.data.dtype
+    assert np.array_equal(rows[0], rows[1])
+    (loss, grads), (loss_t, grads_t) = (
+        _loss_and_grads(params, lambda t=t: contrastive_loss(batch, corpus, model.encoder,
+                                                             head, cfg, t))
+        for t in (None, tokens))
+    assert loss == loss_t
+    assert grads.keys() == grads_t.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], grads_t[name]), name
+
+
+@pytest.mark.parametrize("strategy", ["all", "sibling", "level"])
+def test_contrastive_tokens_optional_bit_identical_in_f32(demo, strategy):
+    model = init_model(np.random.default_rng(11), demo, CFG)
+    corpus = Corpus(demo, _records(demo))
+    head = init_projection(np.random.default_rng(13), len(ENC.fields) * ENC.d, 8, 4)
+    cfg = HmclConfig(strategy=strategy, repeats_per_level=(2, 3, 3), contrastive_alpha=0.3)
+    batch = build_batch(corpus, [0, 1, 3, 4, 5], cfg.repeats_per_level, cfg.strategy,
+                        np.random.default_rng(21))
+    assert model.encoder.table.data.dtype == np.float32
+    _tokens_parity(model, corpus, head, batch, cfg)
 
 
 def test_score_ids_across_chunks_matches_per_record(setup):

@@ -294,7 +294,7 @@ def test_checkpoint_restores_training_state(ws):
     cfg = load_run_config(ws["ini"])
     ad.set_default_dtype(cfg.precision)
     h = load_hierarchy(cfg.hierarchy_path)
-    corpus = load_corpus(cfg.train_path, h, fields=cfg.encoder.fields)
+    corpus = load_corpus(cfg.train_path, h, fields=cfg.model.encoder.fields)
     model = _build_model(cfg, h)
     enc_arrays, _ = load_checkpoint(ws["pre"] / "encoder.ckpt")
     for name, arr in enc_arrays.items():
@@ -550,11 +550,32 @@ def test_infer_threshold_monotonicity(ws, capsys):
 
 
 def test_infer_invalid_threshold(ws, capsys):
-    rc = main(["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
-               "--input", str(ws["data"] / "test.jsonl"),
-               "--threshold", "0.0"])
-    assert rc == 2
-    assert "threshold" in capsys.readouterr().err
+    # each exits 2 naming the flag, not with the whole loss-config rule
+    for value in ("0.0", "2", "nan", "-1", "inf"):
+        rc = main(["infer", "--checkpoint", str(ws["tr1"] / "model.ckpt"),
+                   "--input", str(ws["data"] / "test.jsonl"),
+                   "--threshold", value])
+        assert rc == 2, value
+        err = capsys.readouterr().err
+        assert "--threshold" in err and "focal_alpha" not in err, value
+
+
+def test_gen_synthetic_negative_split_size_exits_input(tmp_path, capsys):
+    # -3 once exited 0, writing the test split and the manifest but no train split
+    for flag in ("--n-train", "--n-val", "--n-test"):
+        out = tmp_path / flag
+        assert main(["gen-synthetic", "--out", str(out), "--seed", "1", flag, "-3"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not list(out.glob("*.jsonl")) and not (out / "manifest.json").exists()
+
+
+def test_sample_audit_bad_draws_exits_input(ws, capsys):
+    # -5 once exited 2 with numpy's "negative dimensions are not allowed"
+    for value in ("-5", "0"):
+        assert main(["sample-audit", "--hierarchy", str(ws["data"] / "hierarchy.tsv"),
+                     "--seed", "2", "--draws", value]) == 2
+        err = capsys.readouterr().err
+        assert "--draws" in err and "negative dimensions" not in err
 
 
 def test_infer_malformed_lines(ws, tmp_path, capsys):

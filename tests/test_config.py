@@ -16,6 +16,7 @@ from hmlc.config import (
     canonical_json,
     component_seeds,
     config_hash,
+    effective_dict,
     encoder_scope,
     load_run_config,
     model_scope,
@@ -78,9 +79,9 @@ def test_full_parse(tmp_path):
     cfg = load_run_config(_write(tmp_path, FULL_INI))
     assert cfg.hierarchy_path == "taxo.tsv"
     assert cfg.train_path == "train.jsonl"
-    assert cfg.encoder == EncoderConfig(vocab_buckets=128, d=8, heads=2,
-                                        max_tokens=12,
-                                        fields=("name", "description"))
+    assert cfg.model.encoder == EncoderConfig(vocab_buckets=128, d=8, heads=2,
+                                              max_tokens=12,
+                                              fields=("name", "description"))
     assert cfg.model.head_hidden == 16
     assert cfg.loss.focal_alpha == 0.3
     assert cfg.loss.threshold == 0.4
@@ -96,7 +97,7 @@ def test_full_parse(tmp_path):
 def test_defaults_fill_missing_sections(tmp_path):
     cfg = load_run_config(_write(tmp_path, "[paths]\nhierarchy = t.tsv\n"
                                            "[run]\nseed = 1\n"))
-    assert cfg.encoder == EncoderConfig()
+    assert cfg.model.encoder == EncoderConfig()
     assert cfg.loss.focal_alpha == 0.25
     assert cfg.train.epochs == 20
     assert cfg.hmcl.strategy == "sibling"
@@ -165,6 +166,9 @@ def test_config_hash_deterministic_and_sensitive(tmp_path):
     assert h1 == h2
     bumped = load_run_config(_write(tmp_path, FULL_INI.replace("seed = 7", "seed = 8"), "c.ini"))
     assert config_hash(bumped) != h1
+    # the encoder block is stored once, beside the model block, as in the INI
+    d = effective_dict(load_run_config(p1))
+    assert "encoder" not in d["model"] and d["encoder"]["d"] == 8
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -229,7 +233,7 @@ def test_readme_example_loads_and_sets_every_key(tmp_path):
         {name: set(keys) for name, keys in SECTIONS.items()}
     # the example shows the defaults
     seeds = component_seeds(cfg.seed)
-    assert cfg.encoder == EncoderConfig()
+    assert cfg.model.encoder == EncoderConfig()
     assert cfg.model == ModelConfig()
     assert cfg.loss == LossConfig()
     assert cfg.train == TrainConfig(seed=seeds["train"])

@@ -15,8 +15,8 @@ from hmlc.encoder import (
     AllFieldsEmpty,
     EncoderConfig,
     EncoderError,
+    encode_ids,
     encode_record,
-    encode_records,
     init_encoder,
     token_ids,
     tokenize,
@@ -248,7 +248,7 @@ def test_absent_field_content_does_not_leak():
     assert np.array_equal(a.data, b.data)
 
 
-def test_encode_records_pads_without_leaking(f64):
+def test_encode_ids_pads_without_leaking(f64):
     # a record's rows in a padded batch are its own encoding: longer fields,
     # empty fields and cut-off fields elsewhere in the batch change nothing
     params = init_encoder(np.random.default_rng(6), CFG)
@@ -257,14 +257,15 @@ def test_encode_records_pads_without_leaking(f64):
         _record(name="", description=" ".join(f"w{i}" for i in range(40)), comments="x y"),
         _record(name="gamma delta epsilon", description="", comments=""),
     ]
-    batch = encode_records(records, params)
+    batch = encode_ids(*token_ids(records, CFG), params)
     assert batch.shape == (3, 3, CFG.d)
     for i, rec in enumerate(records):
         assert np.allclose(batch.data[i], encode_record(rec, params).data, rtol=0, atol=1e-12)
     with pytest.raises(AllFieldsEmpty):
-        encode_records([records[0], _record(name="", description="", comments="")], params)
+        encode_ids(*token_ids([records[0], _record(name="", description="", comments="")], CFG),
+                   params)
     with pytest.raises(EncoderError):
-        encode_records([], params)
+        encode_ids(*token_ids([], CFG), params)
 
 
 def test_encoder_grad_check(f64):
