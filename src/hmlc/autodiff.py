@@ -13,7 +13,8 @@ replays the list once, in reverse. Without an active tape the closure is
 dropped and the op runs forward-only (inference mode).
 
 Every op validates that its result is finite and raises ``NonFiniteValue``
-otherwise; numerical trouble is an error state here, never a silent NaN.
+naming the op otherwise; numerical trouble is an error state here, never a
+silent NaN.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class Tensor:
 
 def tensor(values, dtype=None) -> Tensor:
     data = np.asarray(values, dtype=dtype or _default_dtype)
-    _check_finite(data)
+    _check_finite(data, tensor)
     return Tensor(data)
 
 
@@ -116,10 +117,12 @@ def _active() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _check_finite(data: np.ndarray) -> None:
+def _check_finite(data: np.ndarray, fn) -> None:
+    """Raise ``NonFiniteValue`` on a NaN or an inf in ``data``, naming the op:
+    ``fn`` is the op or a closure it defines (``embed.<locals>.backward``)."""
     # the method call skips np.all's dispatch, a large share of a small op
     if not np.isfinite(data).all():
-        raise NonFiniteValue("operation produced NaN or Inf")
+        raise NonFiniteValue(f"{fn.__qualname__.partition('.')[0]} produced NaN or Inf")
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -133,7 +136,7 @@ def _emit(data: np.ndarray, backward, checked: bool = False) -> Tensor:
     """Wrap an op's result; under an active tape, record ``backward``, which
     maps the result's gradient into its inputs' gradients."""
     if not checked:
-        _check_finite(data)
+        _check_finite(data, backward)
     out = Tensor(data)
     tape = _active()
     if tape is not None:
@@ -207,7 +210,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Tens
     x2 = x.data.reshape(-1, k)
     z = (x2 @ w.data).reshape(x.shape[:-1] + (n,)) + b.data
     # relu(-inf) = 0 and tanh(±inf) = ±1, so the check comes before the activation
-    _check_finite(z)
+    _check_finite(z, dense)
     data = np.maximum(z, 0.0) if activation == "relu" else \
         np.tanh(z) if activation == "tanh" else z
 

@@ -58,7 +58,7 @@ from .sampling import (
     audit_label_draws,
     write_audit_csv,
 )
-from .synthetic import DEMO_EDGES, make_synthetic_corpus
+from .synthetic import demo_hierarchy, make_synthetic_corpus
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -210,14 +210,9 @@ def cmd_gen_synthetic(args, out: Path) -> int:
     sizes = {"train": args.n_train, "val": args.n_val, "test": args.n_test}
     for name, n in sizes.items():
         _require(n >= 0, f"--n-{name}", ">= 0", n)
-    if args.hierarchy:
-        h = load_hierarchy(args.hierarchy)
-        edges = h.canonical_edges()
-    else:
-        edges = [list(e) for e in DEMO_EDGES]
-        h = parse_hierarchy([tuple(e) for e in edges])
+    h = load_hierarchy(args.hierarchy) if args.hierarchy else demo_hierarchy()
     hier_path = out / "hierarchy.tsv"
-    hier_path.write_text("".join(f"{p}\t{c}\n" for p, c in edges))
+    hier_path.write_text("".join(f"{p}\t{c}\n" for p, c in h.canonical_edges()))
     split_seeds = [int(s.generate_state(1)[0]) for s in
                    np.random.SeedSequence(component_seeds(args.seed)["synthetic"]).spawn(3)]
     manifest = {"seed": args.seed, "hierarchy": hier_path.name, "splits": {}}

@@ -72,7 +72,7 @@ SECTIONS = {
     "run": {"seed": int, "precision": str},
     "encoder": _keys(EncoderConfig),
     "model": _keys(ModelConfig, "encoder"),
-    "loss": _keys(LossConfig, "clamp_eps"),
+    "loss": _keys(LossConfig),
     "train": _keys(TrainConfig, "seed"),
     "hmcl": _keys(HmclConfig, "seed"),
 }

@@ -1,5 +1,6 @@
-"""Evaluation metrics: micro/macro-F1, the KS statistic, and the
-uniformity/alignment embedding diagnostics."""
+"""Evaluation metrics: micro/macro-F1, the KS statistic over KS_BINS
+equal-count bins, and the uniformity/alignment embedding diagnostics of
+Wang & Isola (2020), uniformity at their temperature t = TAU = 2."""
 
 from __future__ import annotations
 
@@ -123,11 +124,14 @@ def _cdf(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(scores), thresholds, side="left") / scores.size
 
 
-def ks_statistic(pos_scores, neg_scores, bins: int = 11) -> KsReport:
+KS_BINS = 11
+
+
+def ks_statistic(pos_scores, neg_scores) -> KsReport:
     """max_t |CDF_p(t) − CDF_n(t)| where CDF(t) counts scores strictly below t.
 
     Default thresholds follow the binned procedure: pool and sort all scores,
-    split into ``bins`` equal-count bins, and use each bin's upper bound as a
+    split into KS_BINS equal-count bins, and use each bin's upper bound as a
     threshold, excluding the first bin. ``ks_exhaustive`` scans every unique
     score instead.
     """
@@ -138,7 +142,7 @@ def ks_statistic(pos_scores, neg_scores, bins: int = 11) -> KsReport:
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise MetricsError("scores must be finite")
     pooled = np.sort(np.concatenate([pos, neg]), kind="stable")
-    chunks = np.array_split(pooled, bins)
+    chunks = np.array_split(pooled, KS_BINS)
     thresholds = np.array([c[-1] for c in chunks[1:] if c.size])
     cdf_p = _cdf(pos, thresholds)
     cdf_n = _cdf(neg, thresholds)
@@ -167,36 +171,34 @@ def _require_unit(emb: np.ndarray, tol: float = 1e-4) -> np.ndarray:
     return emb
 
 
+TAU, EXACT_MAX, MC_PAIRS, PAIRS_PER_LEVEL = 2.0, 2048, 500_000, 256
 # rows of the similarity matrix the exact uniformity holds at a time
 _UNIFORMITY_BLOCK = 256
 
 
-def uniformity(embeddings, tau: float = 2.0, max_exact: int = 2048,
-               mc_pairs: int = 500_000, seed: int = 0) -> float:
-    """log mean over distinct pairs of exp{τ(s_x·s_y − 1)}. All unordered
-    pairs up to ``max_exact`` embeddings; Monte-Carlo sampled beyond."""
+def uniformity(embeddings, seed: int = 0) -> float:
+    """log mean over distinct pairs of exp{TAU(s_x·s_y − 1)}. All unordered
+    pairs up to EXACT_MAX embeddings; MC_PAIRS sampled pairs beyond."""
     emb = _require_unit(embeddings)
     n = emb.shape[0]
     if n < 2:
         raise EmptyInput("uniformity needs at least two embeddings")
-    if tau <= 0:
-        raise MetricsError("tau must be positive")
-    if n <= max_exact:
+    if n <= EXACT_MAX:
         # rows lo:hi against columns lo:, so only the strict upper triangle
         # of the similarity matrix is summed and no n×n array is built
         total = 0.0
         for lo in range(0, n, _UNIFORMITY_BLOCK):
             hi = min(lo + _UNIFORMITY_BLOCK, n)
-            kernel = np.exp(tau * (emb[lo:hi] @ emb[lo:].T - 1.0))
+            kernel = np.exp(TAU * (emb[lo:hi] @ emb[lo:].T - 1.0))
             total += np.triu(kernel[:, :hi - lo], k=1).sum() + kernel[:, hi - lo:].sum()
         mean = total / (n * (n - 1) // 2)
     else:
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, n, size=mc_pairs)
-        b = rng.integers(0, n - 1, size=mc_pairs)
+        a = rng.integers(0, n, size=MC_PAIRS)
+        b = rng.integers(0, n - 1, size=MC_PAIRS)
         b = np.where(b >= a, b + 1, b)  # distinct partner
         sims = np.einsum("ij,ij->i", emb[a], emb[b])
-        mean = np.mean(np.exp(tau * (sims - 1.0)))
+        mean = np.mean(np.exp(TAU * (sims - 1.0)))
     return float(np.log(mean))
 
 
@@ -212,10 +214,9 @@ def _level_pair(rng, by_label_rows: list[np.ndarray]):
     return int(i), int(j)
 
 
-def alignment(corpus, embeddings, h: LabelHierarchy,
-              pairs_per_level: int = 256, seed: int = 0) -> float:
-    """Σ_ℓ mean cosine distance (1 − s·s⁺) over sampled pairs of records that
-    share at least one label at level ℓ. A level with no shareable label
+def alignment(corpus, embeddings, h: LabelHierarchy, seed: int = 0) -> float:
+    """Σ_ℓ mean cosine distance (1 − s·s⁺) over PAIRS_PER_LEVEL sampled pairs
+    of records that share a label at level ℓ. A level with no shareable label
     contributes 0 (logged); if no level has any pair, raises NoPositivePairs.
     """
     emb = _require_unit(embeddings)
@@ -227,7 +228,7 @@ def alignment(corpus, embeddings, h: LabelHierarchy,
     for lvl in range(1, h.depth + 1):
         by_label_rows = [corpus.by_label[v] for v in h.level_index[lvl]]
         dists = []
-        for _ in range(pairs_per_level):
+        for _ in range(PAIRS_PER_LEVEL):
             pair = _level_pair(rng, by_label_rows)
             if pair is None:
                 break
@@ -247,16 +248,12 @@ def alignment(corpus, embeddings, h: LabelHierarchy,
 class EmbeddingDiagnostics:
     uniformity: float
     alignment: float
-    tau: float
 
     def to_dict(self) -> dict:
-        return {"uniformity": self.uniformity, "alignment": self.alignment, "tau": self.tau}
+        return {"uniformity": self.uniformity, "alignment": self.alignment}
 
 
-def embedding_diagnostics(corpus, embeddings, h: LabelHierarchy, tau: float = 2.0,
-                          pairs_per_level: int = 256, seed: int = 0) -> EmbeddingDiagnostics:
-    return EmbeddingDiagnostics(
-        uniformity=uniformity(embeddings, tau=tau, seed=seed),
-        alignment=alignment(corpus, embeddings, h, pairs_per_level=pairs_per_level, seed=seed),
-        tau=tau,
-    )
+def embedding_diagnostics(corpus, embeddings, h: LabelHierarchy,
+                          seed: int = 0) -> EmbeddingDiagnostics:
+    return EmbeddingDiagnostics(uniformity=uniformity(embeddings, seed=seed),
+                                alignment=alignment(corpus, embeddings, h, seed=seed))

@@ -32,21 +32,22 @@ from .nn import AttentionParams, MlpParams, init_attention, init_mlp, mlp_forwar
 from .optim import descend
 
 
+CLAMP_EPS = 1e-7  # focal loss clamps ẑ this far inside (0, 1), so it never takes the log of 0
+
+
 @dataclass(frozen=True)
 class LossConfig:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     lambda_reg: float = 1.0
     threshold: float = 0.5
-    clamp_eps: float = 1e-7
 
     def __post_init__(self):
         ok = (0.0 < self.focal_alpha < 1.0 and 0.0 <= self.focal_gamma < math.inf
-              and 0.0 <= self.lambda_reg < math.inf and 0.0 < self.threshold < 1.0
-              and 0.0 < self.clamp_eps < 0.5)  # focal never takes the log of 0
+              and 0.0 <= self.lambda_reg < math.inf and 0.0 < self.threshold < 1.0)
         if not ok:
             raise ValueError("focal_alpha in (0,1), focal_gamma >= 0, "
-                             "lambda_reg >= 0, threshold in (0,1), clamp_eps in (0,0.5)")
+                             "lambda_reg >= 0, threshold in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,7 @@ class Prediction:
     z_final: Tensor
 
 
-def init_model(rng: np.random.Generator, h: LabelHierarchy,
-               cfg: ModelConfig | None = None) -> HmcnModel:
-    cfg = cfg or ModelConfig()
+def init_model(rng: np.random.Generator, h: LabelHierarchy, cfg: ModelConfig) -> HmcnModel:
     d = cfg.encoder.d
     flat = len(cfg.encoder.fields) * d
     hidden = cfg.head_hidden
@@ -175,11 +174,11 @@ def path_regularization(z: Tensor, h: LabelHierarchy) -> Tensor:
 
 def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
     """FL = Σ_v −α[y(1−ẑ)^γ log ẑ + (1−y) ẑ^γ log(1−ẑ)], with ẑ clamped to
-    [eps, 1−eps]."""
+    [CLAMP_EPS, 1−CLAMP_EPS]."""
     y = np.asarray(y, dtype=z.data.dtype)
     if z.ndim != 1 or y.shape != z.shape:
         raise LengthMismatch(f"focal_loss shapes {z.shape} vs {y.shape}")
-    return ad.focal(z, y, cfg.focal_alpha, cfg.focal_gamma, cfg.clamp_eps)
+    return ad.focal(z, y, cfg.focal_alpha, cfg.focal_gamma, CLAMP_EPS)
 
 
 def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,

@@ -1,6 +1,6 @@
 """Adam with bias correction, and the one mini-batch loop that runs it.
 
-The update follows the original formulation:
+The update of Kingma & Ba (2015), at their default b1, b2, eps (BETA1, BETA2, EPS):
 
     m_t = b1*m + (1-b1)*g          m_hat = m_t / (1 - b1^t)
     v_t = b2*v + (1-b2)*g^2        v_hat = v_t / (1 - b2^t)
@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteValue, ShapeMismatch, Tape, Tensor, zero_grads
+
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteLoss(NonFiniteValue):
@@ -61,14 +64,7 @@ def _pack(params: dict[str, Tensor], state: AdamState) -> None:
         start += p.data.size
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     if state.flat is None:
         _pack(params, state)
     elif len(params) != len(state.packed) or any(
@@ -78,22 +74,22 @@ def adam_step(
                             "or a packed data or grad was rebound rather than assigned in place")
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     values, g, m, v, tmp = state.flat
-    np.multiply(g, 1.0 - beta1, out=tmp)
-    m *= beta1
+    np.multiply(g, 1.0 - BETA1, out=tmp)
+    m *= BETA1
     m += tmp
     np.multiply(g, g, out=g)
-    g *= 1.0 - beta2
-    v *= beta2
+    g *= 1.0 - BETA2
+    v *= BETA2
     v += g
-    # g becomes the step lr·(m/c1) / (sqrt(v/c2) + eps)
+    # g becomes the step lr·(m/c1) / (sqrt(v/c2) + EPS)
     np.divide(m, c1, out=g)
     g *= lr
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += eps
+    tmp += EPS
     g /= tmp
     values -= g
     g.fill(0.0)
@@ -123,7 +119,7 @@ def descend(params: dict[str, Tensor], loss_of: Callable[[np.ndarray], Tensor | 
                         if loss is None:
                             continue
                         tape.backward(loss)
-                except NonFiniteValue as e:
+                except (NonFiniteValue, FloatingPointError) as e:  # the latter under np.errstate
                     raise NonFiniteLoss(
                         f"non-finite loss at epoch {epoch}, step {done + 1}: {e}") from e
                 adam_step(params, state, lr)

@@ -10,11 +10,9 @@ leaves — a useful property when studying path-consistency regularization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import DEFAULT_FIELDS, Corpus, Record
+from .corpus import Corpus, Record
 from .hierarchy import ROOT, LabelHierarchy
 
 
@@ -40,54 +38,43 @@ def demo_hierarchy() -> LabelHierarchy:
     return parse_hierarchy(list(DEMO_EDGES))
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
-    two_path_prob: float = 0.3  # chance a record gets a second root-to-label path
-    stop_prob: float = 0.25  # chance a path stops at an internal label
-    pool_size: int = 12  # tokens per label pool
-    filler_pool_size: int = 30
-    fields: tuple[str, ...] = DEFAULT_FIELDS
+TWO_PATH_PROB = 0.3  # chance a record gets a second root-to-label path
+STOP_PROB = 0.25  # chance a path stops at an internal label
+POOL_SIZE = 12  # tokens per label pool
+FILLER_POOL_SIZE = 30  # neutral tokens, shared by every record
 
 
-def label_token_pool(h: LabelHierarchy, v: str, cfg: SyntheticConfig) -> list[str]:
-    idx = h.index[v]
-    return [f"l{idx}w{j}" for j in range(cfg.pool_size)]
-
-
-def make_synthetic_corpus(
-    h: LabelHierarchy, n: int, seed: int, cfg: SyntheticConfig | None = None
-) -> Corpus:
-    """Generate ``n`` records; identical (h, n, seed, cfg) gives identical corpora."""
-    cfg = cfg or SyntheticConfig()
+def make_synthetic_corpus(h: LabelHierarchy, n: int, seed: int) -> Corpus:
+    """Generate ``n`` records; identical (h, n, seed) gives identical corpora."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pools = {v: label_token_pool(h, v, cfg) for v in h.labels}
-    fillers = [f"fillw{j}" for j in range(cfg.filler_pool_size)]
+    pools = {v: [f"l{h.index[v]}w{j}" for j in range(POOL_SIZE)] for v in h.labels}
+    fillers = [f"fillw{j}" for j in range(FILLER_POOL_SIZE)]
     records = []
     for i in range(n):
         bits = np.zeros(h.m, dtype=np.uint8)
-        paths = 1 + (rng.random() < cfg.two_path_prob)
+        paths = 1 + (rng.random() < TWO_PATH_PROB)
         for _ in range(paths):
-            for v in _sample_path(h, rng, cfg.stop_prob):
+            for v in _sample_path(h, rng):
                 bits[h.index[v]] = 1
         active = [v for v in h.labels if bits[h.index[v]]]
         records.append(
             Record(
                 id=f"syn{i:06d}",
-                fields=_render_fields(h, active, pools, fillers, rng, cfg),
+                fields=_render_fields(h, active, pools, fillers, rng),
                 labels=bits,
             )
         )
     return Corpus(hierarchy=h, records=records)
 
 
-def _sample_path(h: LabelHierarchy, rng, stop_prob: float) -> list[str]:
+def _sample_path(h: LabelHierarchy, rng) -> list[str]:
     # Always descends from the root once, so every path yields >= 1 label.
     top = h.level_index[1]
     node = top[rng.integers(len(top))]
     path = [node]
-    while h.children[node] and rng.random() >= stop_prob:
+    while h.children[node] and rng.random() >= STOP_PROB:
         kids = h.children[node]
         node = kids[rng.integers(len(kids))]
         path.append(node)
@@ -99,7 +86,7 @@ def _draw(rng, pool: list[str], k: int) -> list[str]:
     return [pool[j] for j in rng.permutation(len(pool))[:k]]
 
 
-def _render_fields(h, active, pools, fillers, rng, cfg) -> dict[str, str]:
+def _render_fields(h, active, pools, fillers, rng) -> dict[str, str]:
     name, desc, comments = [], [], []
     for v in active:
         name += _draw(rng, pools[v], 1)
@@ -107,6 +94,6 @@ def _render_fields(h, active, pools, fillers, rng, cfg) -> dict[str, str]:
         comments += _draw(rng, pools[v], 1)
     desc += _draw(rng, fillers, 2)
     comments += _draw(rng, fillers, 1)
-    text = {"name": " ".join(name), "description": " ".join(desc), "comments": " ".join(comments)}
-    return {f: text.get(f, "") for f in cfg.fields}
+    # exactly corpus.DEFAULT_FIELDS
+    return {"name": " ".join(name), "description": " ".join(desc), "comments": " ".join(comments)}
 

@@ -886,6 +886,19 @@ def test_non_finite_checkpoint_array_exits_input(ws, tmp_path, capsys, command, 
     assert not list(out.glob("*.ckpt")) and not list(out.glob("*.json*"))
 
 
+def test_overflow_in_a_training_step_names_the_step(ws, tmp_path, capsys):
+    # under main's np.errstate the overflow raises FloatingPointError, which
+    # once exited 1 with numpy's message alone, naming no epoch or step
+    arrays, header = load_checkpoint(ws["tr1"] / "model.ckpt")
+    arrays["encoder.field_attn.q0"][...] = 3e38
+    path = tmp_path / "overflow.ckpt"
+    save_checkpoint(path, arrays, header["config_hash"], meta=header["meta"])
+    assert main(["train", "--config", str(ws["ini_quick"]), "--resume", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith(
+        "error: non-finite loss at epoch 1, step 1: overflow encountered in")
+
+
 def test_infer_empty_input(ws, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

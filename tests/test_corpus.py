@@ -25,7 +25,7 @@ from hmlc.corpus import (
     write_corpus,
 )
 from hmlc.hierarchy import HierarchyError, LabelHierarchy, LevelOutOfRange, UnknownLabel, validate_assignment
-from hmlc.synthetic import SyntheticConfig, demo_hierarchy, make_synthetic_corpus
+from hmlc.synthetic import STOP_PROB, TWO_PATH_PROB, demo_hierarchy, make_synthetic_corpus
 
 from conftest import make_record
 
@@ -223,7 +223,7 @@ def test_synthetic_records_are_path_consistent(demo_corpus):
         assert any(r.fields.values())
 
 
-def expected_label_marginals(h: LabelHierarchy, cfg: SyntheticConfig) -> dict[str, float]:
+def expected_label_marginals(h: LabelHierarchy) -> dict[str, float]:
     """Closed-form P(label active) under the generator's sampling scheme."""
     p_path: dict[str, float] = {}
     for v in h.labels:  # level-major order guarantees parents come first
@@ -231,22 +231,21 @@ def expected_label_marginals(h: LabelHierarchy, cfg: SyntheticConfig) -> dict[st
         if u is None:
             p_path[v] = 1.0 / len(h.level_index[1])
         else:
-            p_path[v] = p_path[u] * (1.0 - cfg.stop_prob) / len(h.children[u])
+            p_path[v] = p_path[u] * (1.0 - STOP_PROB) / len(h.children[u])
     out = {}
     for v, p in p_path.items():
         one = p
         two = 1.0 - (1.0 - p) ** 2
-        out[v] = (1.0 - cfg.two_path_prob) * one + cfg.two_path_prob * two
+        out[v] = (1.0 - TWO_PATH_PROB) * one + TWO_PATH_PROB * two
     return out
 
 
 def test_synthetic_marginals_match_generator_priors():
     h = demo_hierarchy()
-    cfg = SyntheticConfig()
     n = 10_000
-    c = make_synthetic_corpus(h, n, seed=123, cfg=cfg)
+    c = make_synthetic_corpus(h, n, seed=123)
     observed = c.label_matrix.mean(axis=0)
-    expected = expected_label_marginals(h, cfg)
+    expected = expected_label_marginals(h)
     for v in h.labels:
         want = expected[v]
         got = float(observed[h.index[v]])

@@ -8,11 +8,14 @@ import math
 import numpy as np
 import pytest
 
+from hmlc import metrics
 from hmlc.autodiff import ShapeMismatch
 from hmlc.corpus import Corpus
 from hmlc.hierarchy import parse_hierarchy
 from hmlc.metrics import (
     _UNIFORMITY_BLOCK,
+    EXACT_MAX,
+    TAU,
     EmptyInput,
     MetricsError,
     NonUnitInput,
@@ -116,7 +119,7 @@ def test_ks_identical_distributions():
 def test_ks_worked_example():
     # [DERIVED] pos {0.9, 0.4}, neg {0.6, 0.1}: the exhaustive scan peaks at
     # t ∈ {0.4, 0.9} with |CDF_p − CDF_n| = 0.5
-    r = ks_statistic([0.9, 0.4], [0.6, 0.1], bins=11)
+    r = ks_statistic([0.9, 0.4], [0.6, 0.1])
     assert r.ks_exhaustive == pytest.approx(0.5)
     assert r.ks <= 0.5
 
@@ -175,7 +178,7 @@ def test_uniformity_collapsed_is_zero():
 def test_uniformity_antipodal_pair():
     # [DERIVED] one pair at similarity −1: log exp(2·(−1−1)) = −4
     emb = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert uniformity(emb, tau=2.0) == pytest.approx(-4.0, abs=1e-12)
+    assert uniformity(emb) == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_uniformity_prefers_spread():
@@ -192,16 +195,16 @@ def test_uniformity_exact_oracle():
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     sims = [emb[i] @ emb[j] for i in range(10) for j in range(i + 1, 10)]
     expected = math.log(np.mean([math.exp(2.0 * (s - 1.0)) for s in sims]))
-    assert uniformity(emb, tau=2.0) == pytest.approx(expected, abs=1e-12)
+    assert uniformity(emb) == pytest.approx(expected, abs=1e-12)
 
 
 def test_uniformity_monte_carlo_close_to_exact():
+    # past EXACT_MAX embeddings uniformity samples MC_PAIRS pairs
     rng = np.random.default_rng(27)
-    emb = rng.normal(size=(32, 6))
+    emb = rng.normal(size=(EXACT_MAX + 1, 6))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    exact = uniformity(emb)
-    mc = uniformity(emb, max_exact=4, mc_pairs=200_000, seed=1)
-    assert mc == pytest.approx(exact, abs=0.02)
+    mc = uniformity(emb, seed=1)
+    assert mc == pytest.approx(reference_uniformity(emb, TAU), abs=0.02)
 
 
 def test_uniformity_validation():
@@ -210,8 +213,6 @@ def test_uniformity_validation():
         uniformity(2 * unit)
     with pytest.raises(EmptyInput):
         uniformity(unit[:1])
-    with pytest.raises(MetricsError):
-        uniformity(unit, tau=0.0)
     with pytest.raises(ShapeMismatch):
         uniformity(np.ones(3))
 
@@ -277,11 +278,10 @@ def test_embedding_diagnostics_bundle():
     rng = np.random.default_rng(28)
     emb = rng.normal(size=(3, 4))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    diag = embedding_diagnostics(corpus, emb, h, tau=2.0, seed=0)
-    assert diag.uniformity == pytest.approx(uniformity(emb, tau=2.0, seed=0))
+    diag = embedding_diagnostics(corpus, emb, h, seed=0)
+    assert diag.uniformity == pytest.approx(uniformity(emb, seed=0))
     assert diag.alignment == pytest.approx(alignment(corpus, emb, h, seed=0))
-    assert diag.to_dict() == {
-        "uniformity": diag.uniformity, "alignment": diag.alignment, "tau": 2.0}
+    assert diag.to_dict() == {"uniformity": diag.uniformity, "alignment": diag.alignment}
 
 
 def reference_uniformity(emb, tau):
@@ -294,12 +294,14 @@ def reference_uniformity(emb, tau):
 
 @pytest.mark.parametrize("n", [2, 3, _UNIFORMITY_BLOCK - 1, _UNIFORMITY_BLOCK,
                                _UNIFORMITY_BLOCK + 1, 2048])
-@pytest.mark.parametrize("tau", [0.5, 2.0])
-def test_blocked_uniformity_matches_gram_triangle(n, tau):
+@pytest.mark.parametrize("tau", [0.5, TAU])
+def test_blocked_uniformity_matches_gram_triangle(n, tau, monkeypatch):
+    # the blocked sum is exact at any temperature; 0.5 weighs distant pairs more
+    monkeypatch.setattr(metrics, "TAU", tau)
     rng = np.random.default_rng(n)
     emb = rng.normal(size=(n, 6))
     # a few duplicated and antipodal rows put weight near both ends of the kernel
     emb[n // 2] = emb[0]
     emb[-1] = -emb[0]
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    assert uniformity(emb, tau=tau) == pytest.approx(reference_uniformity(emb, tau), abs=1e-12)
+    assert uniformity(emb) == pytest.approx(reference_uniformity(emb, tau), abs=1e-12)
