@@ -357,6 +357,8 @@ def cmd_sample_audit(args, out: Path | None) -> int:
     counts = {"label": audit_label_draws(h, args.strategy, args.draws, args.seed)}
     if args.corpus:
         corpus = load_corpus(args.corpus, h, repair=args.repair)
+        if not corpus.records:
+            raise CorpusError(f"{args.corpus}: no records")
         counts["instance"] = audit_instance_draws(corpus, args.strategy, args.draws, args.seed)
     for stage, stage_counts in counts.items():
         if out is not None:

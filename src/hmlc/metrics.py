@@ -1,6 +1,10 @@
 """Evaluation metrics: micro/macro-F1, the KS statistic over KS_BINS
 equal-count bins, and the uniformity/alignment embedding diagnostics of
-Wang & Isola (2020), uniformity at their temperature t = TAU = 2."""
+Wang & Isola (2020), uniformity at their temperature t = TAU = 2.
+
+Uniformity holds one block at a time: one _UNIFORMITY_BLOCK × n buffer on the
+exact path (4 MiB at n = EXACT_MAX); past it, the MC_PAIRS indices and
+similarities plus the rows of _MC_BLOCK pairs (about 14 MiB at d = 16)."""
 
 from __future__ import annotations
 
@@ -172,8 +176,8 @@ def _require_unit(emb: np.ndarray, tol: float = 1e-4) -> np.ndarray:
 
 
 TAU, EXACT_MAX, MC_PAIRS, PAIRS_PER_LEVEL = 2.0, 2048, 500_000, 256
-# rows of the similarity matrix the exact uniformity holds at a time
-_UNIFORMITY_BLOCK = 256
+# similarity-matrix rows (exact) and sampled pairs (Monte-Carlo) held at a time
+_UNIFORMITY_BLOCK, _MC_BLOCK = 256, 8192
 
 
 def uniformity(embeddings, seed: int = 0) -> float:
@@ -186,19 +190,28 @@ def uniformity(embeddings, seed: int = 0) -> float:
     if n <= EXACT_MAX:
         # rows lo:hi against columns lo:, so only the strict upper triangle
         # of the similarity matrix is summed and no n×n array is built
-        total = 0.0
+        buf, total = np.empty(min(n, _UNIFORMITY_BLOCK) * n), 0.0
         for lo in range(0, n, _UNIFORMITY_BLOCK):
             hi = min(lo + _UNIFORMITY_BLOCK, n)
-            kernel = np.exp(TAU * (emb[lo:hi] @ emb[lo:].T - 1.0))
+            kernel = buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            np.matmul(emb[lo:hi], emb[lo:].T, out=kernel)
+            kernel -= 1.0
+            kernel *= TAU
+            np.exp(kernel, out=kernel)
             total += np.triu(kernel[:, :hi - lo], k=1).sum() + kernel[:, hi - lo:].sum()
         mean = total / (n * (n - 1) // 2)
     else:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, n, size=MC_PAIRS)
         b = rng.integers(0, n - 1, size=MC_PAIRS)
-        b = np.where(b >= a, b + 1, b)  # distinct partner
-        sims = np.einsum("ij,ij->i", emb[a], emb[b])
-        mean = np.mean(np.exp(TAU * (sims - 1.0)))
+        b += b >= a  # distinct partner
+        sims = np.empty(MC_PAIRS)
+        for lo in range(0, MC_PAIRS, _MC_BLOCK):
+            rows = slice(lo, lo + _MC_BLOCK)
+            np.einsum("ij,ij->i", emb[a[rows]], emb[b[rows]], out=sims[rows])
+        sims -= 1.0
+        sims *= TAU
+        mean = np.mean(np.exp(sims, out=sims))
     return float(np.log(mean))
 
 
@@ -248,9 +261,6 @@ def alignment(corpus, embeddings, h: LabelHierarchy, seed: int = 0) -> float:
 class EmbeddingDiagnostics:
     uniformity: float
     alignment: float
-
-    def to_dict(self) -> dict:
-        return {"uniformity": self.uniformity, "alignment": self.alignment}
 
 
 def embedding_diagnostics(corpus, embeddings, h: LabelHierarchy,

@@ -967,6 +967,17 @@ def test_sample_audit_instance_stage(ws, tmp_path):
     assert (out / "label_stage.csv").exists()
 
 
+def test_sample_audit_empty_corpus_exits_input(ws, tmp_path, capsys):
+    # once exit 0 with a header-only instance_stage.csv
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "aud"
+    assert main(["sample-audit", "--hierarchy", str(ws["data"] / "hierarchy.tsv"),
+                 "--seed", "5", "--corpus", str(empty), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no records\n"
+    assert not list(out.glob("*.csv"))
+
+
 def test_sample_audit_stdout(ws, capsys):
     assert main(["sample-audit", "--hierarchy",
                  str(ws["data"] / "hierarchy.tsv"), "--seed", "2",

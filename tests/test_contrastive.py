@@ -257,7 +257,7 @@ def test_pretrain_zero_steps_keeps_encoder():
     assert result.batch_losses == []
     for k, v in model.encoder.named().items():
         assert np.array_equal(before[k], v.data), k
-    assert result.before.to_dict() == result.after.to_dict()
+    assert result.before == result.after
 
 
 def test_pretrain_on_no_records_raises_corpus_error(monkeypatch):

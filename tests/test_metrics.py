@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hmlc.hierarchy import parse_hierarchy
 from hmlc.metrics import (
     _UNIFORMITY_BLOCK,
     EXACT_MAX,
+    MC_PAIRS,
     TAU,
+    EmbeddingDiagnostics,
     EmptyInput,
     MetricsError,
     NonUnitInput,
@@ -279,9 +282,8 @@ def test_embedding_diagnostics_bundle():
     emb = rng.normal(size=(3, 4))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     diag = embedding_diagnostics(corpus, emb, h, seed=0)
-    assert diag.uniformity == pytest.approx(uniformity(emb, seed=0))
-    assert diag.alignment == pytest.approx(alignment(corpus, emb, h, seed=0))
-    assert diag.to_dict() == {"uniformity": diag.uniformity, "alignment": diag.alignment}
+    assert diag == EmbeddingDiagnostics(uniformity=uniformity(emb, seed=0),
+                                        alignment=alignment(corpus, emb, h, seed=0))
 
 
 def reference_uniformity(emb, tau):
@@ -305,3 +307,66 @@ def test_blocked_uniformity_matches_gram_triangle(n, tau, monkeypatch):
     emb[-1] = -emb[0]
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     assert uniformity(emb) == pytest.approx(reference_uniformity(emb, tau), abs=1e-12)
+
+
+def per_block_uniformity(emb, seed=0):
+    """The uniformity that one reused buffer replaced, kept as the reference:
+    fresh temporaries for each 256-row block, and all MC_PAIRS sampled pairs'
+    rows gathered at once. Reads metrics.TAU, so a monkeypatched TAU reaches it."""
+    n = emb.shape[0]
+    if n <= EXACT_MAX:
+        total = 0.0
+        for lo in range(0, n, _UNIFORMITY_BLOCK):
+            hi = min(lo + _UNIFORMITY_BLOCK, n)
+            kernel = np.exp(metrics.TAU * (emb[lo:hi] @ emb[lo:].T - 1.0))
+            total += np.triu(kernel[:, :hi - lo], k=1).sum() + kernel[:, hi - lo:].sum()
+        mean = total / (n * (n - 1) // 2)
+    else:
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, n, size=MC_PAIRS)
+        b = rng.integers(0, n - 1, size=MC_PAIRS)
+        b = np.where(b >= a, b + 1, b)
+        sims = np.einsum("ij,ij->i", emb[a], emb[b])
+        mean = np.mean(np.exp(metrics.TAU * (sims - 1.0)))
+    return float(np.log(mean))
+
+
+def _unit_rows(n, d, dtype, seed):
+    emb = np.random.default_rng(seed).normal(size=(n, d)).astype(dtype)
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return emb.astype(float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 255, 256, 257, 511, 512, 513, 1000, 2000, 2047,
+                               EXACT_MAX])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tau", [0.5, TAU])
+def test_exact_uniformity_equals_the_per_block_reference(n, dtype, tau, monkeypatch):
+    monkeypatch.setattr(metrics, "TAU", tau)
+    emb = _unit_rows(n, 16, dtype, seed=n)
+    assert uniformity(emb) == per_block_uniformity(emb)
+
+
+@pytest.mark.parametrize("n", [EXACT_MAX + 1, 2500, 5000, 40_000])
+@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tau", [0.5, TAU])
+def test_monte_carlo_uniformity_equals_the_gathered_reference(n, d, seed, tau, monkeypatch):
+    monkeypatch.setattr(metrics, "TAU", tau)
+    emb = _unit_rows(n, d, np.float64, seed=n + d)
+    assert uniformity(emb, seed=seed) == per_block_uniformity(emb, seed=seed)
+
+
+@pytest.mark.parametrize("n,limit_mib", [(EXACT_MAX, 6), (EXACT_MAX + 1, 24)])
+def test_uniformity_peak_memory_is_one_block(n, limit_mib):
+    # one 256 x EXACT_MAX block is 4 MiB; once about 11 MB exact and 134 MB
+    # Monte-Carlo, from numpy's temporaries and the gathered pair rows
+    emb = _unit_rows(n, 16, np.float64, seed=n)
+    uniformity(emb)  # BLAS sets up its own buffers on a first call
+    tracemalloc.start()
+    try:
+        uniformity(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20

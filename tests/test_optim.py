@@ -274,7 +274,7 @@ def test_descend_matches_the_hand_written_loops(precision, case):
             result = module.pretrain(corpus, model, cfg)
             arrays = {k: v.data for k, v in result.head.named().items()}
             result = (result.history, result.skipped_empty_space, result.skipped_unsatisfiable,
-                      result.before.to_dict(), result.after.to_dict())
+                      result.before, result.after)
         arrays.update({k: v.data for k, v in model.named().items()})
         runs.append((result, arrays))
     (ref, ref_arrays), (new, new_arrays) = runs
