@@ -1,9 +1,10 @@
-"""Dense-array reverse-mode autodiff on numpy, define-by-run. Ops: matmul_nt,
-add, scale, sigmoid, dense (one MLP layer), attention (multi-head),
-l2_normalize, concat, reshape, sum_all, embed, and one op per loss: focal,
-hinge (the path regularizer) and weighted_log_sigmoid (the contrastive loss).
-Targets, weights, masks and indices reach the ops as plain arrays; every
-tensor is differentiable.
+"""Dense-array reverse-mode autodiff on numpy, define-by-run. Ops: add, scale,
+sigmoid, dense (one MLP layer), attention (multi-head), l2_normalize, concat,
+reshape, sum_all, embed, and one op per loss, each on what the model outputs:
+focal (on the likelihoods), hinge (the path regularizer) and
+weighted_log_sigmoid (the contrastive loss, which forms its anchor-by-record
+scores from the projected rows). Targets, weights, masks and indices reach the
+ops as plain arrays; every tensor is differentiable.
 
 Each op computes its value and hands it, with one backward closure mapping
 the value's gradient into its inputs' gradients, to ``_emit``. While a
@@ -151,18 +152,6 @@ def zero_grads(tensors) -> None:
 
 # ---------------------------------------------------------------------------
 # arithmetic
-
-
-def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for 2D operands."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
-
-    def backward(g):
-        _accum(a, g @ b.data)
-        _accum(b, g.T @ a.data)
-
-    return _emit(a.data @ b.data.T, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -437,15 +426,28 @@ def hinge(z: Tensor, child, parent) -> Tensor:
     return _emit(np.asarray(np.maximum(gap, 0.0).sum(), dtype=z.data.dtype), backward)
 
 
-def weighted_log_sigmoid(s: Tensor, c: float, w_pos, w_neg, norm: float) -> Tensor:
-    """norm · Σ [W⁺ ⊙ log σ(c·s) + W⁻ ⊙ log σ(−c·s)] for weight arrays shaped
-    like ``s``; log(1 − σ(x)) = log σ(−x)."""
-    dtype = s.data.dtype
+def weighted_log_sigmoid(rows: Tensor, anchors, c: float, w_pos, w_neg,
+                         norm: float) -> Tensor:
+    """norm · Σ [W⁺ ⊙ log σ(c·S) + W⁻ ⊙ log σ(−c·S)] over the scores
+    S = rows[anchors] @ rows.T of the (R, p) ``rows``, for (A, R) weight
+    arrays; log(1 − σ(x)) = log σ(−x). The backward adds S's gradient into
+    ``rows`` as the row gather and the product did: ``g_S.T @ rows[anchors]``
+    first, then ``g_S @ rows`` scattered into the anchor rows."""
+    anchors = np.asarray(anchors, dtype=np.intp)
+    if rows.ndim != 2 or anchors.ndim != 1:
+        raise ShapeMismatch(f"scores of anchors {anchors.shape} against rows {rows.shape}")
+    if anchors.size and (anchors.min() < 0 or anchors.max() >= rows.shape[0]):
+        raise ShapeMismatch("anchor outside rows")
+    dtype = rows.data.dtype
     w_pos, w_neg = np.asarray(w_pos, dtype=dtype), np.asarray(w_neg, dtype=dtype)
-    if w_pos.shape != s.shape or w_neg.shape != s.shape:
-        raise ShapeMismatch(f"weights {w_pos.shape}, {w_neg.shape} vs scores {s.shape}")
+    shape = (len(anchors), rows.shape[0])
+    if w_pos.shape != shape or w_neg.shape != shape:
+        raise ShapeMismatch(f"weights {w_pos.shape}, {w_neg.shape} vs scores {shape}")
     c, norm = float(c), float(norm)
-    x = s.data * c
+    anchor_rows = rows.data[anchors]
+    s = anchor_rows @ rows.data.T
+    _check_finite(s, weighted_log_sigmoid)
+    x = s * c
     neg_x = x * -1.0
     pos = np.asarray((w_pos * -np.logaddexp(0.0, -x)).sum(), dtype=dtype)
     neg = np.asarray((w_neg * -np.logaddexp(0.0, -neg_x)).sum(), dtype=dtype)
@@ -454,7 +456,9 @@ def weighted_log_sigmoid(s: Tensor, c: float, w_pos, w_neg, norm: float) -> Tens
         g = g * norm
         g_x = g * w_neg * np.exp(-np.logaddexp(0.0, neg_x)) * -1.0  # σ(x) = σ(−(−x))
         g_x += g * w_pos * np.exp(-np.logaddexp(0.0, x))  # σ(−x)
-        _accum(s, g_x * c)
+        g_s = g_x * c
+        _accum(rows, g_s.T @ anchor_rows)
+        np.add.at(rows.grad, anchors, g_s @ rows.data)
 
     return _emit((pos + neg) * norm, backward)
 

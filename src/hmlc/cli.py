@@ -362,8 +362,7 @@ def cmd_sample_audit(args, out: Path | None) -> int:
         counts["instance"] = audit_instance_draws(corpus, args.strategy, args.draws, args.seed)
     for stage, stage_counts in counts.items():
         if out is not None:
-            write_audit_csv(out / f"{stage}_stage.csv", stage_counts, args.strategy,
-                            stage=stage)
+            write_audit_csv(out / f"{stage}_stage.csv", stage_counts, args.strategy, stage)
         else:
             for (v, u), n in sorted(stage_counts.items()):
                 print(f"{args.strategy},{stage},{v},{u},{n}")
@@ -457,8 +456,9 @@ def main(argv=None) -> int:
     except (ad.NonFiniteValue, FloatingPointError) as e:  # NonFiniteLoss among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    # OSError: a path that cannot be opened, for whatever reason
     except (ConfigError, CheckpointError, CorpusError, HierarchyError, MetricsError,
-            FileNotFoundError, IsADirectoryError, json.JSONDecodeError, ValueError) as e:
+            OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

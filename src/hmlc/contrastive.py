@@ -122,9 +122,8 @@ def contrastive_loss(batch: ContrastiveBatch, corpus: Corpus, encoder: EncoderPa
     if not (w_pos.any() or w_neg.any()):
         raise EmptyBatch("no anchor in the batch has any active label")
     rows = encode_batch(batch, corpus, encoder, head, tokens)
-    anchor_rows = ad.embed(rows, [col[i] for i in batch.anchors])
-    scores = ad.matmul_nt(anchor_rows, rows)
-    return ad.weighted_log_sigmoid(scores, 1.0 / cfg.contrastive_alpha, w_pos, w_neg,
+    return ad.weighted_log_sigmoid(rows, [col[i] for i in batch.anchors],
+                                   1.0 / cfg.contrastive_alpha, w_pos, w_neg,
                                    1.0 / (len(batch.anchors) * corpus.hierarchy.depth))
 
 

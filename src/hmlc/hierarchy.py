@@ -186,17 +186,6 @@ def siblings_of(h: LabelHierarchy, v: str) -> tuple[str, ...]:
     return tuple(u for u in peers if u != v)
 
 
-def ancestors_of(h: LabelHierarchy, v: str) -> tuple[str, ...]:
-    """Proper ancestors of v from nearest to farthest, root excluded."""
-    h._require(v)
-    out = []
-    u = h.parent[v]
-    while u is not None:
-        out.append(u)
-        u = h.parent[u]
-    return tuple(out)
-
-
 def descendants_of(h: LabelHierarchy, v: str) -> tuple[str, ...]:
     """Transitive closure below v, in level-major label order."""
     h._require(v)
@@ -237,15 +226,15 @@ def repair_bits(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
 
 
 def closure(h: LabelHierarchy, bits: np.ndarray) -> np.ndarray:
-    """Return a copy with every ancestor of an active label activated."""
+    """Return a copy with every ancestor of an active label activated: the
+    mirror of ``repair_bits``, levels taken bottom-up, each label's bit
+    raising its parent's, so setting a label sets its whole path."""
     bits = np.asarray(bits)
     if bits.shape != (h.m,):
         raise LengthMismatch(f"expected {h.m} bits, got shape {bits.shape}")
-    out = bits.astype(np.uint8).copy()
-    for v in h.labels:
-        if out[h.index[v]]:
-            for u in ancestors_of(h, v):
-                out[h.index[u]] = 1
+    out = bits.astype(np.uint8)
+    for cols in reversed(h.child_level_columns):
+        np.maximum.at(out, h.parent_index[cols], out[cols])
     return out
 
 

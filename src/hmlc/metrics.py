@@ -41,8 +41,6 @@ class NoPositivePairs(MetricsError):
 
 @dataclass
 class F1Report:
-    precision: np.ndarray
-    recall: np.ndarray
     f1: np.ndarray
     support: np.ndarray
     micro_precision: float
@@ -89,8 +87,6 @@ def micro_macro_f1(truth, pred) -> F1Report:
     micro_f1 = float(_safe_div(2 * tp_all, 2 * tp_all + fp_all + fn_all))
     present = support > 0
     return F1Report(
-        precision=precision,
-        recall=recall,
         f1=f1,
         support=support,
         micro_precision=micro_p,
@@ -163,12 +159,15 @@ def ks_statistic(pos_scores, neg_scores) -> KsReport:
 # embedding diagnostics
 
 
-def _require_unit(emb: np.ndarray, tol: float = 1e-4) -> np.ndarray:
+UNIT_TOL = 1e-4  # how far a row's norm may be from 1 and still count as unit
+
+
+def _require_unit(emb: np.ndarray) -> np.ndarray:
     emb = np.asarray(emb, dtype=float)
     if emb.ndim != 2:
         raise ShapeMismatch(f"embeddings must be 2D, got {emb.shape}")
     norms = np.linalg.norm(emb, axis=1)
-    bad = np.abs(norms - 1.0) > tol
+    bad = np.abs(norms - 1.0) > UNIT_TOL
     if bad.any():
         raise NonUnitInput(f"{int(bad.sum())} embeddings deviate from unit norm "
                            f"(worst {float(np.abs(norms - 1.0).max()):.2e})")

@@ -174,9 +174,10 @@ def path_regularization(z: Tensor, h: LabelHierarchy) -> Tensor:
 
 def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
     """FL = Σ_v −α[y(1−ẑ)^γ log ẑ + (1−y) ẑ^γ log(1−ẑ)], with ẑ clamped to
-    [CLAMP_EPS, 1−CLAMP_EPS]."""
+    [CLAMP_EPS, 1−CLAMP_EPS], summed over every entry of a ``z`` shaped like
+    its targets: one record's (m,) or a batch's (B, m)."""
     y = np.asarray(y, dtype=z.data.dtype)
-    if z.ndim != 1 or y.shape != z.shape:
+    if y.shape != z.shape:
         raise LengthMismatch(f"focal_loss shapes {z.shape} vs {y.shape}")
     return ad.focal(z, y, cfg.focal_alpha, cfg.focal_gamma, CLAMP_EPS)
 
@@ -189,8 +190,7 @@ def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
         raise ValueError("empty batch")
     pred = pred or _predict(encode_ids(*token_ids(batch, model.encoder.cfg), model.encoder), model)
     z = pred.z_final
-    labels = np.stack([r.labels for r in batch])
-    total = focal_loss(ad.reshape(z, (-1,)), labels.ravel(), cfg)
+    total = focal_loss(z, np.stack([r.labels for r in batch]), cfg)
     if cfg.lambda_reg > 0.0:
         reg = path_regularization(z, model.hierarchy)
         total = ad.add(total, ad.scale(reg, cfg.lambda_reg))

@@ -218,7 +218,7 @@ def audit_instance_draws(c: Corpus, strategy: str, min_draws: int,
 
 
 def write_audit_csv(path, counts: dict[tuple[str, str], int], strategy: str,
-                    stage: str = "label") -> None:
+                    stage: str) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["strategy", "stage", "anchor_label", "negative_label", "count"])

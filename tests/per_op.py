@@ -3,13 +3,15 @@ references for the fused loss ops of ``hmlc.autodiff``.
 
 ``hmlc`` computes each loss as one op: the focal loss as ``focal``, the path
 regularizer as ``hinge`` and the contrastive loss as
-``weighted_log_sigmoid``. Before that, each was a chain of the small ops
-below; every fused op runs the numpy calls of its chain in the same order,
-and tests require the two to agree bit for bit, values and gradients. The
-other references (``per_layer``, ``per_head``, ``per_record``) build on the
-same ops. They are defined here, on the tape's own node helpers, because
-``hmlc`` has no other use for them. Targets and weights enter the chains as
-ordinary tensors; the gradients they collect are never read.
+``weighted_log_sigmoid``, which also forms its scores S = rows[anchors] @
+rows.T. Before that, each was a chain of the small ops below; the
+contrastive chain began with an ``ad.embed`` row gather and ``matmul_nt``.
+Every fused op runs the numpy calls of its chain in the same order, and
+tests require the two to agree bit for bit, values and gradients. The other
+references (``per_layer``, ``per_head``, ``per_record``) build on the same
+ops. They are defined here, on the tape's own node helpers, because ``hmlc``
+has no other use for them. Targets and weights enter the chains as ordinary
+tensors; the gradients they collect are never read.
 """
 
 from __future__ import annotations
@@ -35,6 +37,18 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
         _accum(b, a2.T @ g2)
 
     return _emit(data, backward)
+
+
+def matmul_nt(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """a @ b.T for 2D operands."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ad.ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
+
+    def backward(g):
+        _accum(a, g @ b.data)
+        _accum(b, g.T @ a.data)
+
+    return _emit(a.data @ b.data.T, backward)
 
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -125,7 +139,8 @@ def hinge(z: ad.Tensor, child, parent) -> ad.Tensor:
 
 
 def weighted_log_sigmoid(s: ad.Tensor, c: float, w_pos, w_neg, norm: float) -> ad.Tensor:
-    """What ``ad.weighted_log_sigmoid`` computes, in 10 tape nodes."""
+    """What ``ad.weighted_log_sigmoid`` computes from the scores ``s``, in 10
+    tape nodes; the op's own product and gather add two more."""
     dtype = s.data.dtype
     scores = ad.scale(s, c)
     pos = mul(ad.tensor(w_pos, dtype), log_sigmoid(scores))

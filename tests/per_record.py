@@ -131,11 +131,11 @@ def contrastive_loss(batch, corpus, encoder: EncoderParams, head, cfg) -> ad.Ten
                 continue
             parts = []
             if ld.positives:
-                scores = ad.matmul_nt(stack([emb[p] for p in ld.positives]), stack([s_i]))
+                scores = per_op.matmul_nt(stack([emb[p] for p in ld.positives]), stack([s_i]))
                 parts.append(ad.sum_all(per_op.log_sigmoid(ad.scale(scores, inv_alpha))))
             negs = ld.negative_indices()
             if negs:
-                scores = ad.matmul_nt(stack([emb[p] for p in negs]), stack([s_i]))
+                scores = per_op.matmul_nt(stack([emb[p] for p in negs]), stack([s_i]))
                 # log(1 − σ(z)) = log σ(−z)
                 parts.append(ad.sum_all(per_op.log_sigmoid(ad.scale(scores, -inv_alpha))))
             if not parts:

@@ -212,15 +212,11 @@ def test_matmul_shape_errors():
         per_op.matmul(a, ad.tensor(np.zeros((4, 2))))
     with pytest.raises(ad.ShapeMismatch):
         per_op.matmul(a, ad.tensor(np.zeros(3)))  # a matrix times a vector: use (3, 1)
-    with pytest.raises(ad.ShapeMismatch):
-        ad.matmul_nt(a, ad.tensor(np.zeros((2, 4))))
     cube = ad.tensor(np.zeros((2, 2, 3)))
     with pytest.raises(ad.ShapeMismatch):
         per_op.matmul(cube, ad.tensor(np.zeros((2, 2))))
     with pytest.raises(ad.ShapeMismatch):
         per_op.matmul(cube, ad.tensor(np.zeros((2, 3, 2))))  # batched products are attention's
-    with pytest.raises(ad.ShapeMismatch):
-        ad.matmul_nt(cube, cube)
     with pytest.raises(ad.ShapeMismatch):
         ad.add(a, ad.tensor(np.zeros(2)))
     with pytest.raises(ad.ShapeMismatch):
@@ -392,26 +388,50 @@ def test_hinge_matches_chain_bit_for_bit(demo, dtype, lead):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_weighted_log_sigmoid_matches_chain_bit_for_bit(dtype):
-    # repeated draws (weights that add up), all-zero weight rows and |c·s| > 30
+    # the op forms S = rows[anchors] @ rows.T itself; the chain gathers the
+    # anchor rows with embed and multiplies with the retired matmul_nt.
+    # Repeated draws (weights that add up), all-zero weight rows, an anchor
+    # twice and |c·s| > 30
     rng = np.random.default_rng(70)
-    s = rng.uniform(-1.0, 1.0, size=(5, 9)).astype(dtype)
-    s[0, :3] = [4.0, -4.0, 3.5]
+    rows = rng.uniform(-1.0, 1.0, size=(9, 4)).astype(dtype)
+    rows[0] *= 3.0
+    anchors = np.array([0, 4, 8, 4, 2])
     draws = rng.integers(0, 3, size=(2, 5, 9))
     draws[:, 2] = 0
     w_pos, w_neg = draws / rng.integers(1, 4, size=(2, 5, 1))
+
+    def chain(t):
+        scores = per_op.matmul_nt(ad.embed(t, anchors), t)
+        return per_op.weighted_log_sigmoid(scores, 10.0, w_pos, w_neg, 1.0 / 15)
+
     for upstream in (1.0, -0.3):
-        _assert_same_bits(lambda t: ad.weighted_log_sigmoid(t, 10.0, w_pos, w_neg, 1.0 / 15),
-                          lambda t: per_op.weighted_log_sigmoid(t, 10.0, w_pos, w_neg, 1.0 / 15),
-                          ad.tensor(s, dtype), upstream)
+        _assert_same_bits(lambda t: ad.weighted_log_sigmoid(t, anchors, 10.0, w_pos, w_neg,
+                                                            1.0 / 15),
+                          chain, ad.tensor(rows, dtype), upstream)
 
 
 def test_fused_loss_shape_errors():
     z = ad.tensor(np.full(3, 0.5))
     with pytest.raises(ad.ShapeMismatch):
         ad.focal(z, [1, 0], 0.25, 2.0, 1e-7)
+    rows, w = ad.tensor(np.zeros((3, 2))), np.zeros((2, 3))
+    with pytest.raises(ad.ShapeMismatch, match="weights"):
+        ad.weighted_log_sigmoid(rows, [0, 1], 1.0, w, w.T, 1.0)
+    with pytest.raises(ad.ShapeMismatch, match="anchor outside rows"):
+        ad.weighted_log_sigmoid(rows, [0, 3], 1.0, w, w, 1.0)
+    with pytest.raises(ad.ShapeMismatch, match="anchor outside rows"):
+        ad.weighted_log_sigmoid(rows, [-1, 0], 1.0, w, w, 1.0)
     with pytest.raises(ad.ShapeMismatch):
-        ad.weighted_log_sigmoid(ad.tensor(np.zeros((2, 3))), 1.0, np.zeros((2, 3)),
-                                np.zeros((3, 2)), 1.0)
+        ad.weighted_log_sigmoid(ad.tensor(np.zeros(3)), [0, 1], 1.0, w, w, 1.0)
+
+
+def test_weighted_log_sigmoid_names_non_finite_scores():
+    # finite rows whose products overflow f32: the op scans S itself
+    rows = ad.tensor(np.array([[1e20, 0.0], [0.0, 1.0]]), np.float32)
+    w = np.ones((1, 2))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ad.NonFiniteValue, match="weighted_log_sigmoid"):
+        ad.weighted_log_sigmoid(rows, [0], 1.0, w, w, 1.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -469,13 +489,12 @@ def test_every_op_passes_grad_check(f64, seed):
     bias = _t(rng, 2)
     prob = _t(rng, 4, lo=0.05, hi=0.95)  # inside focal's clamp
     mask = (rng.uniform(size=(2, 2, 1)) < 0.5).astype(float)
-    w_pos, w_neg = rng.uniform(0.0, 1.0, size=(2, 2, 3))
+    w_pos, w_neg = rng.uniform(0.0, 1.0, size=(2, 3, 2))  # anchors [1, 0, 1] of a's 2 rows
     sq = lambda y: ad.sum_all(per_op.mul(y, y))
 
     cases = {
         "matmul_22": lambda: ad.sum_all(per_op.matmul(a, b)),
         "matmul_12": lambda: ad.sum_all(per_op.matmul(vec, b)),
-        "matmul_nt": lambda: ad.sum_all(ad.matmul_nt(a, c)),
         "matmul_32": lambda: sq(per_op.matmul(cube, b)),
         "add_bias_3d": lambda: sq(per_layer.add(cube, vec)),
         "add": lambda: ad.sum_all(ad.add(a, c)),
@@ -506,7 +525,8 @@ def test_every_op_passes_grad_check(f64, seed):
         "focal_gamma_0": lambda: ad.focal(prob, [0, 1, 1, 0], 0.4, 0.0, 1e-7),
         "hinge_1d": lambda: ad.hinge(vec, [1, 2], [0, 0]),
         "hinge_2d": lambda: ad.hinge(a, [1, 2], [0, 1]),
-        "weighted_log_sigmoid": lambda: ad.weighted_log_sigmoid(a, 1.7, w_pos, w_neg, 0.3),
+        "weighted_log_sigmoid":
+            lambda: ad.weighted_log_sigmoid(a, [1, 0, 1], 1.7, w_pos, w_neg, 0.3),
     }
     for name, f in cases.items():
         report = ad.grad_check(f, [a, b, c, vec, pos, cube, bias, prob])

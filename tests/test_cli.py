@@ -1072,6 +1072,32 @@ def test_missing_hierarchy_path_fails_cleanly(ws, tmp_path, capsys):
     assert "absent.tsv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["input through a file", "checkpoint name too long",
+                                  "scores name too long", "hierarchy name too long",
+                                  "init checkpoint through a file", "INI train through a file"])
+def test_path_that_cannot_be_opened_exits_input(ws, tmp_path, capsys, kind):
+    # NotADirectoryError and an over-long name (ENAMETOOLONG) are OSErrors,
+    # like the missing file and the directory every command already names
+    data, long = ws["data"], str(tmp_path / ("a" * 300))
+    model, ini = str(ws["tr1"] / "model.ckpt"), str(ws["ini_quick"])
+    argv = {
+        "input through a file":
+            ["infer", "--checkpoint", model, "--input", str(data / "test.jsonl" / "x")],
+        "checkpoint name too long": ["infer", "--checkpoint", long,
+                                     "--input", str(data / "test.jsonl")],
+        "scores name too long": ["eval", "--config", ini, "--checkpoint", model,
+                                 "--scores", long],
+        "hierarchy name too long": ["sample-audit", "--hierarchy", long, "--seed", "1"],
+        "init checkpoint through a file":
+            ["train", "--config", ini, "--init-checkpoint", model + "/x"],
+        "INI train through a file":
+            ["train", "--config", str(_ini_with(ws, tmp_path / "through.ini", {
+                ("paths", "train"): str(data / "train.jsonl" / "x")}))],
+    }[kind]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command,split", [("train", "train"), ("pretrain", "train"),
                                            ("eval", "test")])
 def test_empty_corpus_exits_input(ws, tmp_path, capsys, command, split):

@@ -181,10 +181,10 @@ def test_loss_gradient_check(f64):
     ad.grad_check(f, list(params.values())).assert_ok()
 
 
-def test_pretrain_step_tape_node_count(demo, demo_corpus):
+def test_pretrain_step_tape_node_count(demo, demo_corpus, monkeypatch):
     # the encoder (two gathers, field attention, reshape, empty-field mask,
     # fusion attention), the projection (flatten, two dense, l2_normalize),
-    # the anchor gather, the score product, the loss op and the negation
+    # the loss op, which forms its own scores, and the negation
     model = init_model(np.random.default_rng(0), demo, ModelConfig())
     head = init_projection(np.random.default_rng(1), 3 * 16, 32, 16)
     cfg = HmclConfig(strategy="sibling", repeats_per_level=(1, 2, 3), batch_size=4)
@@ -192,7 +192,18 @@ def test_pretrain_step_tape_node_count(demo, demo_corpus):
                         np.random.default_rng(2))
     with ad.Tape() as tape:
         ad.scale(contrastive_loss(batch, demo_corpus, model.encoder, head, cfg), -1.0)
-    assert len(tape.nodes) == 14
+    assert len(tape.nodes) == 12
+    # and every step of pretrain itself, counted where its loop runs backward
+    sizes, backward = [], ad.Tape.backward
+
+    def counting(tape, loss):
+        sizes.append(len(tape.nodes))
+        backward(tape, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting)
+    pretrain(demo_corpus, model, HmclConfig(repeats_per_level=(1, 2, 3), batch_size=4,
+                                            max_batches=3))
+    assert sizes == [12, 12, 12]
 
 
 def test_loss_requires_anchors():

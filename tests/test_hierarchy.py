@@ -15,7 +15,6 @@ from hmlc.hierarchy import (
     LengthMismatch,
     LevelOutOfRange,
     UnknownLabel,
-    ancestors_of,
     bits_to_labels,
     closure,
     descendants_of,
@@ -125,8 +124,6 @@ def test_siblings(demo):
 
 
 def test_ancestors_descendants(demo):
-    assert ancestors_of(demo, "Finance-Loan-Credit Loan") == ("Finance-Loan", "Finance")
-    assert ancestors_of(demo, "Finance") == ()
     assert set(descendants_of(demo, "Game")) == {"Game-Moba", "Game-RPG", "Game-Strategy"}
     assert descendants_of(demo, "Finance-Investment") == ()
     assert set(descendants_of(demo, "Finance")) == {
@@ -214,6 +211,31 @@ def test_closure_validate_equivalence_property():
         bits = (rng.random(h.m) < 0.3).astype(np.uint8)
         ok = validate_assignment(h, bits) == []
         assert ok == bool(np.array_equal(bits, closure(h, bits)))
+
+
+def per_label_closure(h, bits):
+    """The per-label loop ``closure`` replaced: each active label, in label
+    order, sets every ancestor on its parent walk."""
+    out = bits.astype(np.uint8).copy()
+    for v in h.labels:
+        if out[h.index[v]]:
+            u = h.parent[v]
+            while u is not None:
+                out[h.index[u]] = 1
+                u = h.parent[u]
+    return out
+
+
+def test_closure_equals_the_per_label_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        h = random_tree(rng, int(rng.integers(1, 60)))
+        for density in (0.05, 0.3, 0.7):
+            for _ in range(10):
+                bits = (rng.random(h.m) < density).astype(np.uint8)
+                got = closure(h, bits)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, per_label_closure(h, bits))
 
 
 @st.composite

@@ -135,7 +135,7 @@ def test_gradient_reaches_both_branches(demo, demo_model, demo_corpus):
     assert np.any(demo_model.encoder.table.grad != 0)
 
 
-def test_tape_node_counts(demo, demo_model, demo_corpus):
+def test_tape_node_counts(demo, demo_model, demo_corpus, monkeypatch):
     # one record: 7 encoder nodes, 2 cross-attentions, one dense node per
     # MLP layer (prior, three level heads, global head, integration: 12),
     # 4 flattening reshapes, 2 concats and the final sigmoid
@@ -143,10 +143,23 @@ def test_tape_node_counts(demo, demo_model, demo_corpus):
         forward(demo_corpus.records[0], demo_model)
     assert len(tape.nodes) == 28
     # a train step: the batch's forward pass (no reshape to one record: 27
-    # nodes), the focal and hinge ops, λ's scale and the sum
+    # nodes), the focal op on the (B, m) likelihoods, the hinge op, λ's
+    # scale and the sum
     with ad.Tape() as tape:
         total_loss(demo_corpus.records[:8], demo_model, LossConfig())
-    assert len(tape.nodes) == 32
+    assert len(tape.nodes) == 31
+    # and every step of train itself, counted where its loop runs backward:
+    # 20 steps of 8 records
+    sizes, backward = [], ad.Tape.backward
+
+    def counting(tape, loss):
+        sizes.append(len(tape.nodes))
+        backward(tape, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting)
+    train(demo_corpus, init_model(np.random.default_rng(0), demo, SMALL_CFG),
+          TrainConfig(epochs=1, batch_size=8))
+    assert sizes == [31] * 20
 
 
 # ------------------------------------------------------- path regularization
@@ -225,9 +238,29 @@ def test_focal_nonnegative_and_length_check(demo):
         y = (rng.uniform(size=demo.m) < 0.5).astype(float)
         assert focal_loss(ad.tensor(z), y, LossConfig()).item() >= 0.0
     with pytest.raises(LengthMismatch):
-        focal_loss(ad.tensor(np.zeros((2, 3))), np.zeros((2, 3)), LossConfig())
+        focal_loss(ad.tensor(np.zeros((2, 3))), np.zeros(6), LossConfig())
     with pytest.raises(LengthMismatch):
         focal_loss(ad.tensor(np.full(3, 0.5)), np.array([1.0, 0.0]), LossConfig())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_focal_loss_of_a_batch_matches_its_flattened_rows(dtype):
+    # total_loss passes the (B, m) likelihoods as they are; the sum and the
+    # gradient are the same bits as for the flattened batch
+    rng = np.random.default_rng(8)
+    for b, m in ((1, 1), (8, 13), (256, 37)):
+        z = rng.uniform(0.0, 1.0, size=(b, m)).astype(dtype)
+        y = (rng.uniform(size=(b, m)) < 0.3).astype(np.uint8)
+        runs = []
+        for x, labels in ((z, y), (z.ravel(), y.ravel())):
+            t = ad.tensor(x, dtype)
+            with ad.Tape() as tape:
+                loss = focal_loss(t, labels, LossConfig())
+                tape.backward(loss)
+            runs.append((loss.data, t.grad.ravel()))
+        (got, got_grad), (want, want_grad) = runs
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(got_grad, want_grad)
 
 
 def test_total_loss_lambda_zero_is_focal_sum(demo, demo_model, demo_corpus, f64):

@@ -13,7 +13,6 @@ from scipy import stats
 from hmlc.corpus import Corpus, active_labels_at_level
 from hmlc.hierarchy import (
     UnknownLabel,
-    ancestors_of,
     descendants_of,
     labels_to_bits,
     parse_hierarchy,
@@ -75,7 +74,10 @@ def test_space_containment_random_trees():
             assert spaces["sibling"] <= spaces["level"] <= spaces["all"]
             assert v not in spaces["all"]
             desc = set(descendants_of(h, v))
-            anc = set(ancestors_of(h, v))
+            anc, u = set(), h.parent[v]
+            while u is not None:
+                anc.add(u)
+                u = h.parent[u]
             assert not (spaces["all"] & desc)
             assert not (spaces["level"] & (desc | anc))
             same_level = set(h.level_index[h.level[v]])
@@ -256,7 +258,7 @@ def test_audit_instance_draws_terminates_when_unsatisfiable():
 def test_write_audit_csv(tmp_path, demo):
     counts = audit_label_draws(demo, "sibling", 50, seed=18)
     path = tmp_path / "audit.csv"
-    write_audit_csv(path, counts, "sibling")
+    write_audit_csv(path, counts, "sibling", "label")
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["strategy", "stage", "anchor_label", "negative_label", "count"]
