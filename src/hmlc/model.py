@@ -182,19 +182,20 @@ def focal_loss(z: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
     return ad.focal(z, y, cfg.focal_alpha, cfg.focal_gamma, CLAMP_EPS)
 
 
-def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig,
-               pred: Prediction | None = None) -> Tensor:
-    """Σ over the batch of focal loss + λ·path regularization on ẑ. ``pred``
-    is the batch's ``_predict`` output when the caller already has it."""
+def _loss(z: Tensor, y: np.ndarray, h: LabelHierarchy, cfg: LossConfig) -> Tensor:
+    """Focal loss + λ·path regularization of likelihoods ``z`` on label rows ``y``."""
+    total = focal_loss(z, y, cfg)
+    if cfg.lambda_reg > 0.0:
+        total = ad.add(total, ad.scale(path_regularization(z, h), cfg.lambda_reg))
+    return total
+
+
+def total_loss(batch: list[Record], model: HmcnModel, cfg: LossConfig) -> Tensor:
+    """Σ over the batch of focal loss + λ·path regularization on ẑ."""
     if not batch:
         raise ValueError("empty batch")
-    pred = pred or _predict(encode_ids(*token_ids(batch, model.encoder.cfg), model.encoder), model)
-    z = pred.z_final
-    total = focal_loss(z, np.stack([r.labels for r in batch]), cfg)
-    if cfg.lambda_reg > 0.0:
-        reg = path_regularization(z, model.hierarchy)
-        total = ad.add(total, ad.scale(reg, cfg.lambda_reg))
-    return total
+    z = _predict(encode_ids(*token_ids(batch, model.encoder.cfg), model.encoder), model).z_final
+    return _loss(z, np.stack([r.labels for r in batch]), model.hierarchy, cfg)
 
 
 def predict_proba(record: Record, model: HmcnModel) -> np.ndarray:
@@ -223,9 +224,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (min(self.epochs, self.batch_size, self.decay_every_epochs) >= 1
-                and 0.0 <= self.lr < math.inf and 0.0 <= self.lr_decay < math.inf):
+                and 0.0 <= self.lr < math.inf and 0.0 <= self.lr_decay < math.inf
+                and (self.early_stop_f1 is None or 0.0 <= self.early_stop_f1 <= 1.0)):
             raise ValueError("epochs, batch_size, decay_every_epochs >= 1; "
-                             "lr, lr_decay finite and >= 0")
+                             "lr, lr_decay finite and >= 0; early_stop_f1 in [0, 1]")
 
 
 @dataclass
@@ -261,7 +263,7 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
     def loss_of(idx: np.ndarray) -> Tensor:
         pred = _predict(encode_ids(ids[idx], keys[idx], model.encoder), model)
         preds[idx] = pred.z_final.data >= loss_cfg.threshold
-        return total_loss([corpus.records[i] for i in idx], model, loss_cfg, pred=pred)
+        return _loss(pred.z_final, corpus.label_matrix[idx], model.hierarchy, loss_cfg)
 
     per_epoch = math.ceil(n / schedule.batch_size)
     steps = descend(model.named(), loss_of, n, np.random.default_rng(schedule.seed),

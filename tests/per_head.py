@@ -4,10 +4,10 @@
 Each head is its own chain of tape ops: three projections, the score
 matrix, its scale, a masked softmax and the weighted sum of the values;
 then the heads are joined by column and mapped by the output projection.
-The batched products and the masked softmax this needs are defined here,
+The batched product and the masked softmax this needs are defined here,
 on the tape's own node helpers, because ``hmlc`` computes attention as one
-op and has no other use for them. Tests compare ``ad.attention`` against
-``multihead_attention`` below in f64.
+op and has no other use for them; ``matmul_nt`` comes from ``per_op``.
+Tests compare ``ad.attention`` against ``multihead_attention`` below in f64.
 """
 
 from __future__ import annotations
@@ -35,19 +35,6 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
         _accum(b, a.data.transpose(0, 2, 1) @ g)
 
     return _emit(a.data @ b.data, backward)
-
-
-def matmul_nt(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """a @ b.T for 2D operands, or per matrix for batches (B, r, k) and (B, s, k)."""
-    if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] \
-            or a.shape[-1] != b.shape[-1]:
-        raise ad.ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
-
-    def backward(g):
-        _accum(a, g @ b.data)
-        _accum(b, np.swapaxes(g, -1, -2) @ a.data)
-
-    return _emit(a.data @ np.swapaxes(b.data, -1, -2), backward)
 
 
 def softmax(a: ad.Tensor, key_mask: np.ndarray | None = None) -> ad.Tensor:
@@ -85,7 +72,7 @@ def multihead_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, p: AttentionPa
         qh = matmul(q, p.wq[h])
         kh = matmul(k, p.wk[h])
         vh = matmul(v, p.wv[h])
-        scores = ad.scale(matmul_nt(qh, kh), 1.0 / math.sqrt(dh))
+        scores = ad.scale(per_op.matmul_nt(qh, kh), 1.0 / math.sqrt(dh))
         outs.append(matmul(softmax(scores, key_mask=key_mask), vh))
     merged = outs[0] if len(outs) == 1 else ad.concat(outs, dim=-1)
     return matmul(merged, p.wo)

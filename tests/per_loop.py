@@ -5,111 +5,55 @@
 mini-batch Adam loop: shuffle, cut batches, zero the gradients, record and
 back-propagate one tape, step Adam and decay the learning rate. Both now
 drive ``optim.descend``. The two loops below are the earlier ones line for
-line, apart from their docstrings and imports, and tests require the two
-paths to agree bit for bit: histories, skip counters and every parameter.
+line, apart from their docstrings, imports, Adam and ``train``'s loss, which
+is ``model._loss`` as in ``model.train``. Tests require the two paths to
+agree bit for bit: histories, skip counters and every parameter.
 
-The loops clear the gradients with ``zero_grads`` before every step, so they
-keep the Adam they ran with: ``AdamState``, ``_allocate`` and ``adam_step``
-below are that optimizer line for line. It laid out flat moment buffers at
-its first step and, at every step, concatenated the gradients into one row
-and subtracted each parameter's slice of the update; ``optim.adam_step``
-packs the parameters themselves instead.
+The loops clear the gradients with ``zero_grads`` before every step, which
+would unbind the views ``optim.adam_step`` packs, so they step with
+``adam_step`` below: the per-parameter update that ``optim.adam_step``
+replaced, and the one ``test_optim`` compares it against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from hmlc import autodiff as ad
-from hmlc.autodiff import ShapeMismatch, Tensor
+from hmlc.autodiff import Tensor
 from hmlc.contrastive import (EmptyBatch, HmclConfig, PretrainResult, PretrainStep,
                               contrastive_loss, init_projection, project_corpus)
 from hmlc.corpus import Corpus
 from hmlc.encoder import encode_ids, token_ids
 from hmlc.metrics import embedding_diagnostics, micro_macro_f1
-from hmlc.model import (EpochStats, HmcnModel, LossConfig, TrainConfig, _predict,
-                        count_violations, total_loss)
+from hmlc.model import (EpochStats, HmcnModel, LossConfig, TrainConfig, _loss, _predict,
+                        count_violations)
 from hmlc.optim import NonFiniteLoss
 from hmlc.sampling import build_batch
 
 
-@dataclass
-class AdamState:
-    """Step count and moments. The first step fixes the layout (parameter
-    names and shapes in iteration order, and their one dtype); ``m[name]``
-    and ``v[name]`` are views, in the parameter's shape, into flat buffers."""
-
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    layout: tuple = ()
-    # rows: m, v, then two work rows for the gradient and the step
-    flat: np.ndarray | None = None
-    updates: list[np.ndarray] = field(default_factory=list)
-
-
-def _allocate(state: AdamState, layout: tuple) -> None:
-    dtypes = {dtype for _, _, dtype in layout}
-    if len(dtypes) != 1:
-        raise ShapeMismatch(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
-    sizes = [int(np.prod(shape)) for _, shape, _ in layout]
-    state.flat = np.zeros((4, sum(sizes)), dtype=dtypes.pop())
-    state.layout = layout
-    start = 0
-    for (name, shape, _), size in zip(layout, sizes):
-        span = slice(start, start + size)
-        state.m[name] = state.flat[0, span].reshape(shape)
-        state.v[name] = state.flat[1, span].reshape(shape)
-        state.updates.append(state.flat[2, span].reshape(shape))
-        start += size
-
-
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    grads = []
+def adam_step(params: dict[str, Tensor], state: dict, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Adam one parameter at a time; ``state`` is a plain {"step", "m", "v"} dict,
+    and a ``None`` gradient counts as zeros."""
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
     for name, p in params.items():
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
-        elif g.shape != p.data.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} vs parameter {p.data.shape} for {name}")
-        grads.append(g.ravel())
-    layout = tuple((name, p.data.shape, p.data.dtype) for name, p in params.items())
-    if state.flat is None:
-        _allocate(state, layout)
-    elif layout != state.layout:
-        raise ShapeMismatch("parameter names, shapes or dtype differ from Adam's first step")
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    m, v, g, tmp = state.flat
-    np.concatenate(grads, out=g)
-    np.multiply(g, 1.0 - beta1, out=tmp)
-    m *= beta1
-    m += tmp
-    np.multiply(g, g, out=g)
-    g *= 1.0 - beta2
-    v *= beta2
-    v += g
-    # g becomes lr·(m/c1) / (sqrt(v/c2) + eps), the step state.updates views
-    np.divide(m, c1, out=g)
-    g *= lr
-    np.divide(v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += eps
-    g /= tmp
-    for p, update in zip(params.values(), state.updates):
-        p.data -= update
-
+        m = state["m"].get(name)
+        v = state["v"].get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state["m"][name] = m
+        state["v"][name] = v
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
@@ -117,7 +61,7 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
     loss_cfg = loss_cfg or LossConfig()
     rng = np.random.default_rng(schedule.seed)
     params = model.named()
-    state = AdamState()
+    state = {"step": 0, "m": {}, "v": {}}
     lr = schedule.lr
     n = len(corpus)
     ids, keys = token_ids(corpus.records, model.encoder.cfg)
@@ -129,13 +73,13 @@ def train(corpus: Corpus, model: HmcnModel, schedule: TrainConfig,
         preds = np.zeros((n, model.hierarchy.m), dtype=np.uint8)
         for start in range(0, n, schedule.batch_size):
             batch_idx = order[start:start + schedule.batch_size]
-            batch = [corpus.records[i] for i in batch_idx]
             ad.zero_grads(params)
             try:
                 with ad.Tape() as tape:
                     pred = _predict(encode_ids(ids[batch_idx], keys[batch_idx], model.encoder),
                                     model)
-                    loss = total_loss(batch, model, loss_cfg, pred=pred)
+                    loss = _loss(pred.z_final, corpus.label_matrix[batch_idx], model.hierarchy,
+                                 loss_cfg)
                     tape.backward(loss)
             except ad.NonFiniteValue as e:
                 raise NonFiniteLoss(
@@ -170,7 +114,7 @@ def pretrain(corpus: Corpus, model: HmcnModel, cfg: HmclConfig) -> PretrainResul
     before = embedding_diagnostics(corpus, project_corpus(corpus, encoder, head),
                                    h, seed=cfg.seed)
     tokens = token_ids(corpus.records, encoder.cfg)
-    state = AdamState()
+    state = {"step": 0, "m": {}, "v": {}}
     lr = cfg.lr
     history: list[PretrainStep] = []
     skipped_empty = 0

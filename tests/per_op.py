@@ -40,15 +40,16 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 
 def matmul_nt(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """a @ b.T for 2D operands."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    """a @ b.T for 2D operands, or per matrix for batches (B, r, k) and (B, s, k)."""
+    if a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-1]:
         raise ad.ShapeMismatch(f"matmul_nt {a.shape} @ {b.shape}.T")
 
     def backward(g):
         _accum(a, g @ b.data)
-        _accum(b, g.T @ a.data)
+        _accum(b, np.swapaxes(g, -1, -2) @ a.data)
 
-    return _emit(a.data @ b.data.T, backward)
+    return _emit(a.data @ np.swapaxes(b.data, -1, -2), backward)
 
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:

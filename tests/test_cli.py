@@ -1249,7 +1249,8 @@ def test_repeated_encoder_field_exits_input(ws, tmp_path, capsys):
 @pytest.mark.parametrize("section,key,value", [
     ("train", "batch_size", "-1"), ("train", "batch_size", "0"), ("train", "epochs", "0"),
     ("train", "decay_every_epochs", "0"), ("train", "lr", "nan"), ("train", "lr", "inf"),
-    ("train", "lr", "-0.5"), ("train", "lr_decay", "nan"),
+    ("train", "lr", "-0.5"), ("train", "lr_decay", "nan"), ("train", "early_stop_f1", "nan"),
+    ("train", "early_stop_f1", "1.5"),
     ("hmcl", "batch_size", "0"), ("hmcl", "epochs", "0"), ("hmcl", "decay_every_batches", "0"),
     ("hmcl", "proj_hidden", "0"), ("hmcl", "proj_dim", "0"), ("hmcl", "lr", "nan"),
     ("hmcl", "lr_decay", "-1"), ("hmcl", "max_batches", "-1"),

@@ -288,13 +288,15 @@ def test_validate_assignment_rows_match_label_loop():
 
 
 def _repair_loop(h, bits):
-    """The label-by-label repair the package used before repair_bits."""
-    bits = bits.copy()
+    """The label-by-label repair the package used before repair_bits: each
+    label, parents first, is cleared if its parent is clear. Takes one row or
+    rows of m; any nonzero bit counts as set."""
+    out = (np.asarray(bits) != 0).astype(np.uint8)
     for v in h.labels:  # level-major: parents precede children
         p = h.parent[v]
-        if p is not None and bits[h.index[v]] and not bits[h.index[p]]:
-            bits[h.index[v]] = 0
-    return bits
+        if p is not None:
+            out[..., h.index[v]] &= out[..., h.index[p]]
+    return out
 
 
 def test_repair_bits_matches_label_loop():
@@ -312,17 +314,6 @@ def test_repair_bits_matches_label_loop():
         repair_bits(tree, np.zeros(tree.m + 1, dtype=np.uint8))
 
 
-def _repair_per_level(h, bits):
-    """repair_bits as it was before it read ``child_level_columns``: each
-    call built every level's column array from the label names."""
-    bits = np.asarray(bits)
-    out = (bits != 0).astype(np.uint8)
-    for lvl in range(2, h.depth + 1):
-        cols = np.array([h.index[v] for v in h.level_index[lvl]])
-        out[..., cols] &= out[..., h.parent_index[cols]]
-    return out
-
-
 @settings(max_examples=80, deadline=None)
 @given(edges=tree_edges(), data=st.data())
 def test_repair_bits_matches_per_level_columns(edges, data):
@@ -333,7 +324,7 @@ def test_repair_bits_matches_per_level_columns(edges, data):
                     dtype=np.uint8).reshape(rows, h.m)
     for x in (bits, *bits[:1]):  # rows of m, and one row alone
         got = repair_bits(h, x)
-        assert got.dtype == np.uint8 and np.array_equal(got, _repair_per_level(h, x))
+        assert got.dtype == np.uint8 and np.array_equal(got, _repair_loop(h, x))
     assert [c.tolist() for c in h.child_level_columns] == [
         [h.index[v] for v in h.level_index[lvl]] for lvl in range(2, h.depth + 1)]
     assert not any(c.flags.writeable for c in h.child_level_columns)

@@ -101,29 +101,6 @@ def test_multiple_parameters_independent(f64):
     assert [name for name, *_ in st.packed] == ["a", "b"]
 
 
-def reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The per-parameter loop the flat update replaced, kept as its reference;
-    ``state`` is a plain {"step", "m", "v"} dict."""
-    state["step"] += 1
-    t = state["step"]
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = state["m"].get(name)
-        v = state["v"].get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state["m"][name] = m
-        state["v"][name] = v
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
 def _parity_params(rng, dtype):
     shapes = {"table": (300, 8), "w": (8, 5), "b": (5,), "scale": (), "unused": (3, 4),
               "stack": (2, 3, 4)}
@@ -156,7 +133,7 @@ def test_flat_update_bitwise_equals_per_parameter_loop(dtype):
                 p.grad = g
             ref[name].grad = None if g is None else g.copy()
         adam_step(params, state, lr)
-        reference_adam_step(ref, ref_state, lr)
+        per_loop.adam_step(ref, ref_state, lr)
         assert not state.flat[1].any()  # the step left every gradient at zero
         if step % 100 == 99:
             lr *= 0.8
